@@ -1,9 +1,10 @@
 // Request/response types shared by the sharded KV service layer
-// (src/service/). The service front-ends ViperStore with range-partitioned
-// shards (see router.h): every request is routed to the single shard that
-// owns its key and executed by that shard's worker thread, so strictly
-// single-writer indexes (RMI, PGM, ALEX, FITing-tree, RadixSpline, ...)
-// serve concurrent clients without any locking inside the index.
+// (src/service/). The service front-ends a StoreBackend with range-
+// partitioned shards (see router.h): every request is routed to the
+// single shard that owns its key and executed by that shard's worker
+// thread, so strictly single-writer indexes (RMI, PGM, ALEX,
+// FITing-tree, RadixSpline, ...) serve concurrent clients without any
+// locking inside the index.
 #ifndef PIECES_SERVICE_REQUEST_H_
 #define PIECES_SERVICE_REQUEST_H_
 
@@ -13,7 +14,6 @@
 
 #include "common/latency_recorder.h"
 #include "index/ordered_index.h"
-#include "store/viper.h"
 #include "workload/ycsb.h"
 
 namespace pieces::service {
@@ -49,7 +49,8 @@ struct Request {
   Key key = 0;
   uint32_t scan_len = 0;
   // Put payload (exactly value_size bytes); nullptr means a synthetic
-  // value derived from the key (ViperStore::FillSyntheticValue).
+  // value derived from the key (FillSyntheticRecordValue in
+  // store/record_format.h).
   const uint8_t* value = nullptr;
   // Get/RMW destination (value_size bytes); nullptr discards the value
   // into worker-local scratch (the read is still charged).

@@ -5,9 +5,6 @@
 #include <cstring>
 #include <thread>
 
-#include "common/checksum.h"
-#include "common/timer.h"
-
 namespace pieces {
 
 namespace {
@@ -22,10 +19,12 @@ size_t SlotsPerPage(size_t page_size, size_t record_bytes) {
 
 DiskStore::DiskStore(std::unique_ptr<OrderedIndex> index,
                      const Config& config)
-    : config_(config),
-      slots_per_page_(SlotsPerPage(config.page_size,
-                                   sizeof(Key) + config.value_size +
-                                       sizeof(RecordHeader))),
+    : RecordCore(std::move(index), config.value_size,
+                 SlotsPerPage(config.page_size,
+                              sizeof(Key) + config.value_size +
+                                  sizeof(RecordHeader)),
+                 config.page_size),
+      config_(config),
       pages_(config.path,
              PageStore::Options{
                  .page_size = config.page_size,
@@ -34,37 +33,66 @@ DiskStore::DiskStore(std::unique_ptr<OrderedIndex> index,
                                                    1, config.page_size)),
                  .unlink_on_close = config.unlink_on_close}),
       pool_(&pages_, std::max<size_t>(1, config.pool_pages),
-            config.io_engine),
-      index_(std::move(index)) {
+            config.io_engine) {
+  config_.group_commit_ops = std::max<size_t>(1, config_.group_commit_ops);
   if (!pages_.ok()) {
     error_ = pages_.error();
-  } else if (slots_per_page_ == 0) {
+  } else if (slots_per_page() == 0) {
     error_ = "DiskStore: page_size too small for one record";
   }
 }
 
-RecordHeader DiskStore::MakeHeader(const uint8_t* payload) {
-  RecordHeader header;
-  header.seqno = next_seqno_.fetch_add(1, std::memory_order_relaxed);
-  header.crc = Crc32c(payload, PayloadBytes());
-  header.magic = kRecordCommitMagic;
-  return header;
-}
-
-bool DiskStore::ClaimSlot(uint32_t* page, uint32_t* slot, bool* fresh_page) {
-  // Caller holds write_mu_.
-  *fresh_page = false;
+bool DiskStore::ClaimRun(size_t max, SlotRun* run) {
+  bool fresh = false;
   if (tail_page_ == PageStore::kInvalidPage ||
-      next_slot_ >= slots_per_page_) {
+      next_slot_ >= slots_per_page()) {
     uint32_t p = pages_.AllocatePage();
     if (p == PageStore::kInvalidPage) return false;
     tail_page_ = p;
     next_slot_ = 0;
-    *fresh_page = true;
+    fresh = true;
   }
-  *page = tail_page_;
-  *slot = next_slot_++;
+  run->page = tail_page_;
+  run->first = next_slot_;
+  run->count = static_cast<uint32_t>(
+      std::min<size_t>(max, slots_per_page() - next_slot_));
+  next_slot_ += run->count;
+  // Never spin on the pool while holding write_mu_: a leader mid-commit
+  // needs the mutex back to unpin its group's frames.
+  uint8_t* frame = fresh ? pool_.PinNew(run->page) : pool_.Pin(run->page);
+  while (frame == nullptr) {
+    write_mu_.unlock();
+    std::this_thread::yield();
+    write_mu_.lock();
+    CheckPowered();  // the claimed slots died with the crash (zero headers)
+    frame = pool_.Pin(run->page);
+  }
+  run->bytes = frame + SlotOffset(run->first);
   return true;
+}
+
+void DiskStore::WriteBytes(uint8_t* dst, const void* src, size_t n) {
+  // Slots are invisible to readers until the index swing, so mutating a
+  // pinned frame under concurrent reads of *other* slots is safe.
+  std::memcpy(dst, src, n);
+}
+
+void DiskStore::Barrier(std::span<const SlotRun> runs, size_t /*offset*/,
+                        size_t /*n*/) {
+  uint32_t last = PageStore::kInvalidPage;
+  for (const SlotRun& run : runs) {
+    if (run.page == last) continue;  // runs cluster in the tail page
+    pool_.WriteBack(run.page);
+    last = run.page;
+  }
+  // The caller's lock stays logically held: re-take write_mu_ on the way
+  // out, also when the fsync throws SimulatedCrash.
+  write_mu_.unlock();
+  struct Relock {
+    std::mutex& mu;
+    ~Relock() { mu.lock(); }
+  } relock{write_mu_};
+  pages_.Sync();
 }
 
 uint8_t* DiskStore::PinWait(uint32_t page) const {
@@ -95,9 +123,9 @@ void DiskStore::ReadaheadSpan(Key key, uint32_t target, uint32_t* ra_lo,
   // Rank -> page holds for bulk-load order (slots are claimed in key
   // order); post-load appends land elsewhere and simply miss the span —
   // the waste shows up in readahead_wasted, not in correctness.
-  uint32_t lo = static_cast<uint32_t>(rank_lo / slots_per_page_);
+  uint32_t lo = static_cast<uint32_t>(rank_lo / slots_per_page());
   uint32_t hi = static_cast<uint32_t>(
-      (rank_hi + slots_per_page_ - 1) / slots_per_page_);
+      (rank_hi + slots_per_page() - 1) / slots_per_page());
   lo = std::min(lo, target);
   hi = std::max(hi, target + 1);
   hi = std::min<uint32_t>(hi, static_cast<uint32_t>(pages_.num_pages()));
@@ -114,141 +142,29 @@ void DiskStore::ReadaheadSpan(Key key, uint32_t target, uint32_t* ra_lo,
   *ra_hi = hi;
 }
 
-bool DiskStore::BulkLoad(const std::vector<Key>& keys) {
-  return BulkLoad(keys, [this](Key key, uint8_t* buf) {
-    FillSyntheticRecordValue(key, buf, config_.value_size);
-  });
-}
-
 bool DiskStore::BulkLoad(const std::vector<Key>& keys,
                          const std::function<void(Key, uint8_t*)>& fill) {
   CheckPowered();
   std::lock_guard<std::mutex> lock(write_mu_);
-  std::vector<KeyValue> entries;
-  entries.reserve(keys.size());
-  // Batched durability, one fsync barrier per filled page: the frame stays
-  // pinned while its slots fill and is flushed once when it closes — the
-  // on-disk analogue of ViperStore's one-persist-per-page-span bulk load.
-  uint32_t pinned_page = PageStore::kInvalidPage;
-  uint8_t* frame = nullptr;
-  auto close_page = [&]() {
-    if (pinned_page == PageStore::kInvalidPage) return;
-    pool_.FlushPage(pinned_page);
-    pool_.Unpin(pinned_page, /*dirty=*/false);
-    pinned_page = PageStore::kInvalidPage;
-  };
-  for (Key key : keys) {
-    uint32_t page;
-    uint32_t slot;
-    bool fresh;
-    if (!ClaimSlot(&page, &slot, &fresh)) {
-      close_page();
-      return false;
-    }
-    if (page != pinned_page) {
-      close_page();
-      frame = fresh ? pool_.PinNew(page) : PinWait(page);
-      if (frame == nullptr) frame = PinWait(page);
-      pinned_page = page;
-    }
-    uint8_t* rec = frame + SlotOffset(slot);
-    std::memcpy(rec, &key, sizeof(Key));
-    fill(key, rec + sizeof(Key));
-    RecordHeader header = MakeHeader(rec);
-    std::memcpy(rec + PayloadBytes(), &header, sizeof(RecordHeader));
-    entries.push_back({key, PackHandle(page, slot)});
-  }
-  close_page();
-  index_->BulkLoad(entries);
-  size_.store(keys.size(), std::memory_order_relaxed);
-  return true;
+  return RecordCore::BulkLoad(keys, fill);
 }
 
 bool DiskStore::Put(Key key, const uint8_t* value) {
   CheckPowered();
-  return config_.group_commit_ops > 1 ? PutGrouped(key, value)
-                                      : PutSingle(key, value);
-}
-
-bool DiskStore::PutSingle(Key key, const uint8_t* value) {
-  // Ungrouped write path: one caller owns both barriers. Writers
-  // serialize on write_mu_ for slot claim and frame mutation; each
-  // FlushPage's fsync itself runs outside the pool mutex, so readers'
-  // pin/unpin never wait on a barrier.
-  std::lock_guard<std::mutex> lock(write_mu_);
-  uint32_t page;
-  uint32_t slot;
-  bool fresh;
-  if (!ClaimSlot(&page, &slot, &fresh)) return false;
-  uint8_t* frame = fresh ? pool_.PinNew(page) : PinWait(page);
-  if (frame == nullptr) frame = PinWait(page);
-  uint8_t* rec = frame + SlotOffset(slot);
-  // Commit protocol (record_format.h): payload, barrier, header, barrier,
-  // index swing, ack. A crash at either barrier leaves the slot without a
-  // validating header, so recovery includes exactly the acknowledged puts.
-  // The slot is invisible to readers until the index swing, so mutating
-  // the pinned frame under concurrent reads of *other* slots is safe.
-  std::memcpy(rec, &key, sizeof(Key));
-  std::memcpy(rec + sizeof(Key), value, config_.value_size);
-  std::memset(rec + PayloadBytes(), 0, sizeof(RecordHeader));
-  pool_.FlushPage(page);
-  RecordHeader header = MakeHeader(rec);
-  std::memcpy(rec + PayloadBytes(), &header, sizeof(RecordHeader));
-  pool_.FlushPage(page);
-  if (!index_->Insert(key, PackHandle(page, slot))) {
-    // Durable but never acknowledged: revoke the commit header so recovery
-    // cannot resurrect a put the caller was told failed.
-    std::memset(rec + PayloadBytes(), 0, sizeof(RecordHeader));
-    pool_.FlushPage(page);
-    pool_.Unpin(page, /*dirty=*/false);
-    return false;
-  }
-  // Replication tap, before the unpin (the value bytes live in the pinned
-  // frame) and before the caller's ack.
-  EmitCommit(header.seqno, key, rec + sizeof(Key), config_.value_size);
-  pool_.Unpin(page, /*dirty=*/false);
-  size_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool DiskStore::PutGrouped(Key key, const uint8_t* value) {
   std::unique_lock<std::mutex> lock(write_mu_);
-  uint32_t page;
-  uint32_t slot;
-  bool fresh;
-  if (!ClaimSlot(&page, &slot, &fresh)) return false;
-  // Pin the slot's frame. Never spin on the pool while holding
-  // write_mu_: a leader mid-commit needs the mutex back to unpin its
-  // group's frames, so a holder spinning here could deadlock the pool.
-  uint8_t* frame = fresh ? pool_.PinNew(page) : pool_.Pin(page);
-  while (frame == nullptr) {
-    lock.unlock();
-    std::this_thread::yield();
-    lock.lock();
-    CheckPowered();  // our claimed slot died with the crash (zero header)
-    frame = pool_.Pin(page);
-  }
-  uint8_t* rec = frame + SlotOffset(slot);
-  // Append payload with a zeroed header and enqueue. The seqno (and so
-  // the index-swing order) is the enqueue order, assigned under
-  // write_mu_; the CRC is computed now, the header bytes land in the
-  // frame only after the leader's payload barrier.
-  std::memcpy(rec, &key, sizeof(Key));
-  std::memcpy(rec + sizeof(Key), value, config_.value_size);
-  std::memset(rec + PayloadBytes(), 0, sizeof(RecordHeader));
-  PendingCommit entry;
-  entry.page = page;
-  entry.rec = rec;
-  entry.key = key;
-  entry.handle = PackHandle(page, slot);
-  entry.header = MakeHeader(rec);
+  // Stage the payload and enqueue. The seqno (and so the index-swing
+  // order) is the enqueue order, assigned under write_mu_; the header
+  // bytes land in the frame only after the leader's payload barrier.
+  PendingRecord entry;
+  if (!ClaimRun(1, &entry.slot)) return false;
+  Stage(key, value, &entry);
   commit_queue_.push_back(&entry);
   commit_cv_.notify_all();  // wake a leader waiting out its joiner window
   // Park until a leader resolves the entry — or lead, whenever the
   // leader seat is empty. (A thread can come back from leading with its
   // own entry still queued if the group overflowed ahead of it; it then
   // simply leads again.)
-  while (entry.state == PendingCommit::State::kQueued) {
+  while (entry.state == PendingRecord::State::kQueued) {
     if (!leader_active_) {
       leader_active_ = true;
       LeadCommitLocked(lock);
@@ -257,25 +173,14 @@ bool DiskStore::PutGrouped(Key key, const uint8_t* value) {
     }
   }
   switch (entry.state) {
-    case PendingCommit::State::kCommitted:
+    case PendingRecord::State::kCommitted:
       return true;
-    case PendingCommit::State::kRejected:
+    case PendingRecord::State::kRejected:
       return false;
     default:
       // The group's barrier crashed; pins leak by design (Reset drops
-      // them) and the caller sees the same SimulatedCrash a solo put
-      // would have thrown from FlushPage.
+      // them) and the caller sees the SimulatedCrash the leader saw.
       throw SimulatedCrash{};
-  }
-}
-
-void DiskStore::WriteBackBatchLocked(
-    const std::vector<PendingCommit*>& batch) {
-  uint32_t last = PageStore::kInvalidPage;
-  for (const PendingCommit* e : batch) {
-    if (e->page == last) continue;  // members cluster in the tail page
-    pool_.WriteBack(e->page);
-    last = e->page;
   }
 }
 
@@ -291,85 +196,23 @@ void DiskStore::LeadCommitLocked(std::unique_lock<std::mutex>& lock) {
       return commit_queue_.size() >= config_.group_commit_ops;
     });
   }
-  std::vector<PendingCommit*> batch;
+  std::vector<PendingRecord*> batch;
   while (!commit_queue_.empty() && batch.size() < config_.group_commit_ops) {
     batch.push_back(commit_queue_.front());
     commit_queue_.pop_front();
   }
   group_commits_.fetch_add(1, std::memory_order_relaxed);
   grouped_puts_.fetch_add(batch.size(), std::memory_order_relaxed);
-  bool locked = true;
   try {
-    // Barrier 1: every member's payload (headers still zero in the
-    // frames). Write-backs run under write_mu_ — later enqueuers mutate
-    // other slots of the same frames under the same mutex — while the
-    // fsync runs unlocked so the store stays open for business.
-    WriteBackBatchLocked(batch);
-    lock.unlock();
-    locked = false;
-    pages_.Sync();
-    lock.lock();
-    locked = true;
-    // Headers, then barrier 2: the group is durable.
-    for (PendingCommit* e : batch) {
-      std::memcpy(e->rec + PayloadBytes(), &e->header, sizeof(RecordHeader));
-    }
-    WriteBackBatchLocked(batch);
-    lock.unlock();
-    locked = false;
-    pages_.Sync();
-    lock.lock();
-    locked = true;
-    // Index swings in seqno (= enqueue) order, so a key written twice in
-    // one group ends with its highest seqno live — matching what
-    // recovery would reconstruct.
-    std::vector<PendingCommit*> revoked;
-    for (PendingCommit* e : batch) {
-      if (index_->Insert(e->key, e->handle)) {
-        e->state = PendingCommit::State::kCommitted;
-        size_.fetch_add(1, std::memory_order_relaxed);
-        // Replication tap, in seqno (= enqueue) order under write_mu_;
-        // the member cannot observe kCommitted (and ack) until the
-        // leader's notify below, so tap-before-ack holds per member.
-        EmitCommit(e->header.seqno, e->key, e->rec + sizeof(Key),
-                   config_.value_size);
-      } else {
-        revoked.push_back(e);
-      }
-    }
-    if (!revoked.empty()) {
-      // Durable but never acknowledged: revoke the headers under one
-      // extra barrier. kRejected only lands after the revoke is durable
-      // — if this barrier crashes, the member throws like any crashed
-      // put rather than promising "recovery will not resurrect me".
-      for (PendingCommit* e : revoked) {
-        std::memset(e->rec + PayloadBytes(), 0, sizeof(RecordHeader));
-      }
-      WriteBackBatchLocked(revoked);
-      lock.unlock();
-      locked = false;
-      pages_.Sync();
-      lock.lock();
-      locked = true;
-      for (PendingCommit* e : revoked) {
-        e->state = PendingCommit::State::kRejected;
-      }
-    }
-    for (PendingCommit* e : batch) pool_.Unpin(e->page, /*dirty=*/false);
+    // The barriers release write_mu_ around each fsync; members cannot
+    // see their state (and ack) before re-taking it.
+    Commit(batch);
   } catch (const SimulatedCrash&) {
-    if (!locked) lock.lock();
-    // Power failed at a grouped barrier: the whole batch crashes, and so
-    // does everything still queued (its durability is unknowable now).
-    // Pins leak on purpose — Reset() reclaims them in recovery.
-    // (kCommitted members keep their ack even when the *revoke* barrier
-    // crashed — their own commit and swing fully preceded it.)
-    for (PendingCommit* e : batch) {
-      if (e->state == PendingCommit::State::kQueued) {
-        e->state = PendingCommit::State::kCrashed;
-      }
-    }
-    for (PendingCommit* e : commit_queue_) {
-      e->state = PendingCommit::State::kCrashed;
+    // Power failed at a grouped barrier: everything still queued crashes
+    // too (its durability is unknowable now). Pins leak on purpose —
+    // Reset() reclaims them in recovery.
+    for (PendingRecord* e : commit_queue_) {
+      e->state = PendingRecord::State::kCrashed;
     }
     commit_queue_.clear();
     leader_active_ = false;
@@ -378,12 +221,6 @@ void DiskStore::LeadCommitLocked(std::unique_lock<std::mutex>& lock) {
   }
   leader_active_ = false;
   commit_cv_.notify_all();
-}
-
-bool DiskStore::PutSynthetic(Key key) {
-  std::vector<uint8_t> value(config_.value_size);
-  FillSyntheticRecordValue(key, value.data(), config_.value_size);
-  return Put(key, value.data());
 }
 
 bool DiskStore::Get(Key key, uint8_t* out) const {
@@ -406,7 +243,6 @@ bool DiskStore::Get(Key key, uint8_t* out) const {
   std::memcpy(out, frame + SlotOffset(HandleSlot(handle)) + sizeof(Key),
               config_.value_size);
   pool_.Unpin(page, /*dirty=*/false);
-  lookups_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -461,7 +297,6 @@ size_t DiskStore::GetBatch(std::span<const Key> keys, uint8_t* const* outs,
       pool_.Unpin(pinned, /*dirty=*/false);
     }
     hits += k;
-    lookups_.fetch_add(m, std::memory_order_relaxed);
   }
   return hits;
 }
@@ -514,66 +349,18 @@ size_t DiskStore::Scan(Key from, size_t count,
   return got;
 }
 
-uint64_t DiskStore::Recover() {
-  Timer timer;
+size_t DiskStore::ReopenForRecovery() {
   // Power back on (no-op after a clean shutdown), and drop every cached
   // frame: the crash rolled the file back under the pool, and a crash may
   // have unwound a writer mid-pin.
   pages_.ClearCrash();
   pool_.Reset();
   std::lock_guard<std::mutex> lock(write_mu_);
-  // The file's page count survives a crash the way a file's length does;
-  // nothing else from the pre-crash DRAM state is trusted. Scan every slot
-  // straight off the file (bypassing the pool — recovery is one pass and
-  // would only evict-thrash it) and keep only validating commit headers:
-  // zeroed slots fail the magic check, torn headers cannot complete the
-  // trailing magic, torn payloads fail the CRC.
-  const size_t num_pages = pages_.num_pages();
-  struct Recovered {
-    Key key;
-    Value handle;
-    uint64_t seqno;
-  };
-  std::vector<Recovered> records;
-  std::vector<uint8_t> page_buf(config_.page_size);
-  uint64_t max_seqno = 0;
-  for (uint32_t p = 0; p < num_pages; ++p) {
-    pages_.ReadPage(p, page_buf.data());
-    for (uint32_t s = 0; s < slots_per_page_; ++s) {
-      const uint8_t* rec = page_buf.data() + SlotOffset(s);
-      RecordHeader header;
-      std::memcpy(&header, rec + PayloadBytes(), sizeof(RecordHeader));
-      if (header.magic != kRecordCommitMagic || header.seqno == 0) continue;
-      if (Crc32c(rec, PayloadBytes()) != header.crc) continue;
-      Key key;
-      std::memcpy(&key, rec, sizeof(Key));
-      records.push_back({key, PackHandle(p, s), header.seqno});
-      max_seqno = std::max(max_seqno, header.seqno);
-    }
-  }
-  // Out-of-place updates leave several committed records per key; the
-  // highest seqno wins.
-  std::sort(records.begin(), records.end(),
-            [](const Recovered& a, const Recovered& b) {
-              return a.key != b.key ? a.key < b.key : a.seqno < b.seqno;
-            });
-  std::vector<KeyValue> unique;
-  unique.reserve(records.size());
-  for (const Recovered& r : records) {
-    if (!unique.empty() && unique.back().key == r.key) {
-      unique.back().value = r.handle;
-    } else {
-      unique.push_back({r.key, r.handle});
-    }
-  }
-  index_->BulkLoad(unique);
-  size_.store(unique.size(), std::memory_order_relaxed);
-  next_seqno_.store(max_seqno + 1, std::memory_order_relaxed);
-  // Never resume filling a possibly-torn tail page: the next claim after
-  // recovery opens a fresh page.
+  // Never resume filling a possibly-torn tail page.
   tail_page_ = PageStore::kInvalidPage;
   next_slot_ = 0;
-  return timer.ElapsedNanos();
+  // The page count survives a crash the way a file's length does.
+  return pages_.num_pages();
 }
 
 StoreIoStats DiskStore::IoStats() const {

@@ -7,14 +7,12 @@
 // configurable fraction of it, and the interesting cost model becomes
 // *page fetches per lookup vs model precision* (disk_tier experiment).
 //
-// Record layout and durability are the ViperStore commit protocol
-// verbatim (store/record_format.h): [key | value | RecordHeader] per
-// slot, payload flushed before header, header flushed before the index
-// swing, ack after — each "flush" here a page write-through + fsync
-// barrier instead of a persist fence. Recovery scans the file, trusts
-// only validating headers, and resolves duplicate keys by highest seqno;
-// it is exactly as good after a power cut (torn pages included) as after
-// a clean shutdown.
+// The record layout, commit protocol, bulk load and recovery are the
+// record core's (store/record_core.h). This store supplies the medium:
+// slots in pinned buffer-pool frames, and as the barrier a write-back of
+// the run's distinct pages plus one fsync (PageStore::Sync) — two per
+// put, one per page in bulk load. Recovery reads pages straight off the
+// file, bypassing the pool.
 //
 // Batched reads group by page: GetBatch resolves handles through the
 // index's batch path, then sorts the hits by page id so a batch charges
@@ -25,12 +23,10 @@
 // Concurrency: any number of concurrent readers (each holds at most one
 // pin at a time); writers serialize on an internal mutex for slot claim
 // and frame mutation, but the fsync barriers themselves run outside it.
-// With group commit enabled (group_commit_ops > 1), concurrent Puts
-// append payload+header into pinned frames and park on a commit
-// sequence while a leader issues ONE fdatasync pair for the whole group
-// — the commit-protocol invariants (header-after-payload-durable,
-// revoke-on-failed-swing, seqno order = enqueue order) are preserved
-// per member, so the crash sweep holds at every grouped barrier.
+// Every Put appends payload + header into its pinned frame and parks on
+// a commit queue; whichever parked writer finds the leader seat empty
+// commits up to group_commit_ops queued puts as one run under one
+// barrier pair (1 = a group of one, two barriers per put).
 //
 // Reads route through the buffer pool's async IoEngine
 // (store/io_engine.h): GetBatch prefetches a tile's distinct missing
@@ -49,12 +45,11 @@
 
 #include "store/buffer_pool.h"
 #include "store/page_store.h"
-#include "store/record_format.h"
-#include "store/store_backend.h"
+#include "store/record_core.h"
 
 namespace pieces {
 
-class DiskStore : public StoreBackend {
+class DiskStore : public RecordCore {
  public:
   struct Config {
     size_t value_size = 200;   // The paper's 200-byte values.
@@ -75,9 +70,9 @@ class DiskStore : public StoreBackend {
     // lookup pins in one burst. 0 disables — every Get faults exactly
     // its target page, the PR 8 behavior.
     size_t readahead_max_pages = 0;
-    // Group commit: max puts per fdatasync pair. 1 disables (every put
-    // pays its own two barriers, the PR 8 behavior); > 1 lets
-    // concurrent writers share a leader-issued barrier pair.
+    // Group commit: max puts per fdatasync pair. 1 commits every put as
+    // a group of one with its own two barriers; > 1 lets concurrent
+    // writers share a leader-issued barrier pair.
     size_t group_commit_ops = 1;
     // How long a leader waits for joiners before committing a partial
     // group. Bounds the latency cost of grouping at low concurrency.
@@ -89,28 +84,20 @@ class DiskStore : public StoreBackend {
   // False when the backing file could not be opened (e.g. the data
   // directory is unwritable); error() says why. All other calls are
   // invalid until ok().
-  bool ok() const { return pages_.ok() && slots_per_page_ > 0; }
+  bool ok() const { return pages_.ok() && slots_per_page() > 0; }
   const std::string& error() const { return error_; }
 
   // ---- StoreBackend ---------------------------------------------------
-  bool BulkLoad(const std::vector<Key>& keys) override;
   bool BulkLoad(const std::vector<Key>& keys,
                 const std::function<void(Key, uint8_t*)>& fill) override;
+  using RecordCore::BulkLoad;
   bool Put(Key key, const uint8_t* value) override;
-  bool PutSynthetic(Key key) override;
   bool Get(Key key, uint8_t* out) const override;
   size_t GetBatch(std::span<const Key> keys, uint8_t* const* outs,
                   bool* found) const override;
   size_t Scan(Key from, size_t count,
               std::vector<Key>* out_keys) const override;
   void Crash() override { pages_.Crash(); }
-  uint64_t Recover() override;
-  const OrderedIndex& index() const override { return *index_; }
-  OrderedIndex* mutable_index() override { return index_.get(); }
-  size_t size() const override {
-    return size_.load(std::memory_order_relaxed);
-  }
-  size_t value_size() const override { return config_.value_size; }
   std::string_view BackendName() const override { return "disk"; }
   StoreIoStats IoStats() const override;
 
@@ -118,30 +105,11 @@ class DiskStore : public StoreBackend {
   PageStore& mutable_pages() { return pages_; }
   const PageStore& pages() const { return pages_; }
   const BufferPool& pool() const { return pool_; }
-  size_t slots_per_page() const { return slots_per_page_; }
-  size_t record_bytes() const { return RecordBytes(); }
   // The fetch backend actually in use ("serial" / "threads" / "uring").
   std::string_view io_engine_name() const { return pool_.engine().name(); }
 
  private:
-  static Value PackHandle(uint32_t page, uint32_t slot) {
-    return (static_cast<uint64_t>(page) << 16) | slot;
-  }
-  static uint32_t HandlePage(Value v) {
-    return static_cast<uint32_t>(v >> 16);
-  }
-  static uint32_t HandleSlot(Value v) {
-    return static_cast<uint32_t>(v & 0xffff);
-  }
-
-  size_t PayloadBytes() const { return sizeof(Key) + config_.value_size; }
-  size_t RecordBytes() const { return PayloadBytes() + sizeof(RecordHeader); }
-  size_t SlotOffset(uint32_t slot) const { return slot * RecordBytes(); }
-  RecordHeader MakeHeader(const uint8_t* payload);
-  // Claims a fresh slot under write_mu_, allocating (and pinning — via
-  // *frame) a page when the tail fills. False on file-capacity
-  // exhaustion.
-  bool ClaimSlot(uint32_t* page, uint32_t* slot, bool* fresh_page);
+  size_t SlotOffset(uint32_t slot) const { return slot * record_bytes(); }
   // Pin that spins out transient all-frames-pinned states (and rare
   // device read errors, which are outside the simulated fault model).
   uint8_t* PinWait(uint32_t page) const;
@@ -156,37 +124,33 @@ class DiskStore : public StoreBackend {
     if (pages_.crashed()) throw SimulatedCrash{};
   }
 
-  // The PR 8 write path: one caller, two private barriers.
-  bool PutSingle(Key key, const uint8_t* value);
-  // The grouped write path: append + park; a leader commits the queue.
-  bool PutGrouped(Key key, const uint8_t* value);
-
-  // One queued put parked on the commit sequence. Lives on its caller's
-  // stack; the queue holds pointers, valid until the state resolves.
-  struct PendingCommit {
-    uint32_t page = 0;
-    uint8_t* rec = nullptr;  // slot bytes in the pinned frame
-    Key key = 0;
-    Value handle = 0;
-    RecordHeader header;  // precomputed at enqueue (seqno = queue order)
-    enum class State { kQueued, kCommitted, kRejected, kCrashed };
-    State state = State::kQueued;
-  };
-  // Drains up to group_commit_ops entries and commits them under one
-  // barrier pair. Called with write_mu_ held (leader_active_ already
-  // true); returns with it held and leader_active_ false.
+  // Drains up to group_commit_ops queued puts and commits them as one
+  // run. Called with write_mu_ held (leader_active_ already true);
+  // returns with it held and leader_active_ false.
   void LeadCommitLocked(std::unique_lock<std::mutex>& lock);
-  // Writes the batch's distinct pages through to the file. Caller holds
-  // write_mu_ — enqueuers mutate frame bytes under the same mutex, so
-  // the write-back never races a member's payload memcpy.
-  void WriteBackBatchLocked(const std::vector<PendingCommit*>& batch);
+
+  // ---- RecordCore medium (every call with write_mu_ held) ----
+  // Claims in the tail page and pins its frame; spins on a full pool
+  // with write_mu_ released, so a leader can still unpin its group.
+  bool ClaimRun(size_t max, SlotRun* run) override;
+  void ReleaseRun(const SlotRun& run) override {
+    pool_.Unpin(run.page, /*dirty=*/false);
+  }
+  void WriteBytes(uint8_t* dst, const void* src, size_t n) override;
+  // Writes the runs' distinct pages back, then one fsync with write_mu_
+  // released — enqueuers mutate the same frames under write_mu_, so the
+  // write-back never races a member's memcpy.
+  void Barrier(std::span<const SlotRun> runs, size_t offset,
+               size_t n) override;
+  size_t ReopenForRecovery() override;
+  void ReadPage(uint32_t page, uint8_t* out) const override {
+    pages_.ReadPage(page, out);
+  }
 
   Config config_;
   std::string error_;
-  size_t slots_per_page_ = 0;
   PageStore pages_;
   mutable BufferPool pool_;
-  std::unique_ptr<OrderedIndex> index_;
 
   // Serializes slot claim + frame mutation + the commit queue. Barriers
   // (fdatasync) always run with this mutex *released* so readers and
@@ -195,14 +159,12 @@ class DiskStore : public StoreBackend {
   uint32_t tail_page_ = PageStore::kInvalidPage;
   uint32_t next_slot_ = 0;  // slot within tail_page_; under write_mu_
 
-  // Group-commit sequence (all under write_mu_).
+  // Group-commit sequence (all under write_mu_). Entries live on their
+  // callers' stacks, valid until their state resolves.
   std::condition_variable commit_cv_;
-  std::deque<PendingCommit*> commit_queue_;
+  std::deque<PendingRecord*> commit_queue_;
   bool leader_active_ = false;
 
-  std::atomic<size_t> size_{0};
-  std::atomic<uint64_t> next_seqno_{1};
-  mutable std::atomic<uint64_t> lookups_{0};
   std::atomic<uint64_t> group_commits_{0};
   std::atomic<uint64_t> grouped_puts_{0};
 };

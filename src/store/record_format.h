@@ -4,9 +4,8 @@
 // the payload, so a record counts as committed only when its header
 // validates. The magic sits last so a torn header flush can never
 // validate: the durable prefix of a torn 16-byte header always ends
-// before the magic completes. ViperStore persists the header with a PMem
-// fence; DiskStore with a page write-through + fsync — same protocol,
-// different barrier (see DESIGN.md "Crash consistency").
+// before the magic completes. The protocol that writes and validates
+// these headers lives once, in store/record_core.h.
 #ifndef PIECES_STORE_RECORD_FORMAT_H_
 #define PIECES_STORE_RECORD_FORMAT_H_
 

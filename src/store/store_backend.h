@@ -9,6 +9,9 @@
 //   * DiskStore   — records in fixed-size pages in a regular file behind
 //     a CLOCK buffer pool, fsync-barrier durability (store/disk_store.h).
 //
+// Both are thin media under one record protocol (store/record_core.h):
+// layout, commit, bulk load and recovery are written once there.
+//
 // Shard/KvService and the bench executor are written against this
 // interface, so the whole serving stack — batching, admission control,
 // live split/merge, crash-and-recover — runs unchanged on either medium,
@@ -88,7 +91,7 @@ struct StoreIoStats {
   uint64_t readahead_pages = 0;
   uint64_t readahead_hits = 0;
   uint64_t readahead_wasted = 0;
-  // Group commit: groups led, and puts that rode a group (grouped_puts /
+  // Group commit: groups led, and the puts they committed (grouped_puts /
   // group_commits = achieved batch size; barriers/put drops accordingly).
   uint64_t group_commits = 0;
   uint64_t grouped_puts = 0;

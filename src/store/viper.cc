@@ -1,148 +1,74 @@
 #include "store/viper.h"
 
 #include <algorithm>
-#include <cstring>
-
-#include "common/checksum.h"
-#include "common/timer.h"
 
 namespace pieces {
 
 ViperStore::ViperStore(std::unique_ptr<OrderedIndex> index,
                        const Config& config)
-    : config_(config),
+    : RecordCore(std::move(index), config.value_size, config.slots_per_page,
+                 config.slots_per_page *
+                     (sizeof(Key) + config.value_size + sizeof(RecordHeader))),
+      config_(config),
       pmem_(config.pmem_capacity, config.read_latency_ns,
-            config.write_latency_ns),
-      index_(std::move(index)) {
+            config.write_latency_ns) {
   // Pre-reserve the page directory so concurrent readers never observe a
   // reallocation of pages_ while writers append. Every allocation is one
   // page, so this bound holds across any number of crash/recover cycles.
   pages_.reserve(config_.pmem_capacity / std::max<size_t>(1, PageBytes()) + 1);
 }
 
-void ViperStore::FillSyntheticValue(Key key, uint8_t* buf,
-                                    size_t value_size) {
-  // Deterministic value derived from the key so tests can verify reads;
-  // shared across backends (record_format.h) so differential tests can
-  // compare payloads byte-for-byte between media.
-  FillSyntheticRecordValue(key, buf, value_size);
-}
-
-void ViperStore::FillSynthetic(Key key, uint8_t* buf) const {
-  FillSyntheticValue(key, buf, config_.value_size);
-}
-
-ViperStore::SlotHeader ViperStore::MakeHeader(const uint8_t* payload) {
-  SlotHeader header;
-  header.seqno = next_seqno_.fetch_add(1, std::memory_order_relaxed);
-  header.crc = Crc32c(payload, PayloadBytes());
-  header.magic = kCommitMagic;
-  return header;
-}
-
-bool ViperStore::ClaimSlot(uint32_t* page, uint32_t* slot) {
+bool ViperStore::ClaimRun(size_t max, SlotRun* run) {
   std::lock_guard<std::mutex> lock(pages_mutex_);
-  uint32_t s = next_slot_.load(std::memory_order_relaxed);
-  if (pages_.empty() || s >= config_.slots_per_page) {
-    uint8_t* base = pmem_.Allocate(RecordBytes() * config_.slots_per_page);
+  if (pages_.empty() || next_slot_ >= config_.slots_per_page) {
+    uint8_t* base = pmem_.Allocate(record_bytes() * config_.slots_per_page);
     if (base == nullptr) return false;
-    pages_.push_back({base});
-    s = 0;
+    pages_.push_back(base);
+    next_slot_ = 0;
   }
-  *page = static_cast<uint32_t>(pages_.size() - 1);
-  *slot = s;
-  next_slot_.store(s + 1, std::memory_order_relaxed);
+  run->page = static_cast<uint32_t>(pages_.size() - 1);
+  run->first = next_slot_;
+  run->count = static_cast<uint32_t>(
+      std::min<size_t>(max, config_.slots_per_page - next_slot_));
+  run->bytes = SlotAddr(run->page, run->first);
+  next_slot_ += run->count;
   return true;
 }
 
-bool ViperStore::BulkLoad(const std::vector<Key>& keys) {
-  return BulkLoad(keys, [this](Key key, uint8_t* buf) {
-    FillSynthetic(key, buf);
-  });
+void ViperStore::Barrier(std::span<const SlotRun> runs, size_t offset,
+                         size_t n) {
+  const SlotRun& last = runs.back();
+  const uint8_t* begin = runs.front().bytes + offset;
+  const uint8_t* end =
+      last.bytes + (last.count - 1) * record_bytes() + offset + n;
+  pmem_.Persist(begin, static_cast<size_t>(end - begin));
 }
 
-bool ViperStore::BulkLoad(const std::vector<Key>& keys,
-                          const std::function<void(Key, uint8_t*)>& fill) {
-  std::vector<KeyValue> entries;
-  entries.reserve(keys.size());
-  std::vector<uint8_t> record(RecordBytes());
-  // Batched durability: one barrier per page span instead of one global
-  // fence at the end (which left every record unpersisted mid-load — a
-  // crash would have dropped the whole load despite the writes).
-  uint8_t* span_start = nullptr;
-  size_t span_bytes = 0;
-  uint32_t span_page = 0;
-  for (Key key : keys) {
-    uint32_t page;
-    uint32_t slot;
-    if (!ClaimSlot(&page, &slot)) {
-      if (span_bytes > 0) pmem_.Persist(span_start, span_bytes);
-      return false;
-    }
-    std::memcpy(record.data(), &key, sizeof(Key));
-    fill(key, record.data() + sizeof(Key));
-    SlotHeader header = MakeHeader(record.data());
-    std::memcpy(record.data() + PayloadBytes(), &header, sizeof(SlotHeader));
-    uint8_t* addr = SlotAddr(page, slot);
-    pmem_.Write(addr, record.data(), record.size());
-    if (span_bytes > 0 && page != span_page) {
-      pmem_.Persist(span_start, span_bytes);
-      span_bytes = 0;
-    }
-    if (span_bytes == 0) {
-      span_start = addr;
-      span_page = page;
-    }
-    span_bytes = static_cast<size_t>(addr - span_start) + record.size();
-    entries.push_back({key, PackHandle(page, slot)});
+size_t ViperStore::ReopenForRecovery() {
+  // Power back on (no-op after a clean shutdown).
+  pmem_.crash().ClearCrash();
+  std::lock_guard<std::mutex> lock(pages_mutex_);
+  // Re-derive the page directory from the durable arena extent: every
+  // allocation is exactly one page, so the directory is implied by the
+  // allocator offset (which survives a crash the way a file size does —
+  // see crash_controller.h).
+  const size_t num_pages = pmem_.used() / PageBytes();
+  pages_.clear();
+  for (size_t p = 0; p < num_pages; ++p) {
+    pages_.push_back(pmem_.AddressAt(p * PageBytes()));
   }
-  if (span_bytes > 0) pmem_.Persist(span_start, span_bytes);
-  index_->BulkLoad(entries);
-  size_.store(keys.size(), std::memory_order_relaxed);
-  return true;
+  // Never resume filling a possibly-torn tail page: the next claim after
+  // recovery opens a fresh page (out-of-place stores never reclaim slots
+  // anyway).
+  next_slot_ = static_cast<uint32_t>(config_.slots_per_page);
+  return num_pages;
 }
 
-bool ViperStore::Put(Key key, const uint8_t* value) {
-  // Viper is out-of-place: every put writes a fresh slot, then swings the
-  // index. (Stale slots would be garbage-collected; the paper's workloads
-  // never reclaim, so neither do we.)
-  uint32_t page;
-  uint32_t slot;
-  if (!ClaimSlot(&page, &slot)) return false;
-  std::vector<uint8_t> record(RecordBytes());
-  std::memcpy(record.data(), &key, sizeof(Key));
-  std::memcpy(record.data() + sizeof(Key), value, config_.value_size);
-  uint8_t* addr = SlotAddr(page, slot);
-  // Commit protocol: payload, barrier, header, barrier, index swing, ack.
-  // A crash at either barrier leaves the slot invalid (no/torn header),
-  // so recovery includes exactly the acknowledged puts.
-  pmem_.Write(addr, record.data(), PayloadBytes());
-  pmem_.Persist(addr, PayloadBytes());
-  SlotHeader header = MakeHeader(record.data());
-  pmem_.Write(addr + PayloadBytes(), &header, sizeof(SlotHeader));
-  pmem_.Persist(addr + PayloadBytes(), sizeof(SlotHeader));
-  if (!index_->Insert(key, PackHandle(page, slot))) {
-    // The record is durable but will never be acknowledged: revoke its
-    // commit header so recovery cannot resurrect a put the caller was
-    // told failed (the old code returned false here and left the slot
-    // committed).
-    SlotHeader revoked;
-    pmem_.Write(addr + PayloadBytes(), &revoked, sizeof(SlotHeader));
-    pmem_.Persist(addr + PayloadBytes(), sizeof(SlotHeader));
-    return false;
+void ViperStore::ReadPage(uint32_t page, uint8_t* out) const {
+  // Slot by slot, so recovery is charged one PMem access per slot.
+  for (uint32_t s = 0; s < config_.slots_per_page; ++s) {
+    pmem_.Read(SlotAddr(page, s), out + s * record_bytes(), record_bytes());
   }
-  // Replication tap: the record is durable and visible — announce it
-  // before the caller is acked so watermark reads can never miss it.
-  EmitCommit(header.seqno, key, record.data() + sizeof(Key),
-             config_.value_size);
-  size_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ViperStore::PutSynthetic(Key key) {
-  std::vector<uint8_t> value(config_.value_size);
-  FillSynthetic(key, value.data());
-  return Put(key, value.data());
 }
 
 bool ViperStore::Get(Key key, uint8_t* out) const {
@@ -196,75 +122,6 @@ size_t ViperStore::Scan(Key from, size_t count,
     out_keys->push_back(kv.key);
   }
   return got;
-}
-
-uint64_t ViperStore::Recover() {
-  Timer timer;
-  // Power back on (no-op after a clean shutdown).
-  pmem_.crash().ClearCrash();
-  std::lock_guard<std::mutex> lock(pages_mutex_);
-  // Re-derive the page directory from the durable arena extent: every
-  // allocation is exactly one page, so the directory is implied by the
-  // allocator offset (which survives a crash the way a file size does —
-  // see crash_controller.h). Nothing from the volatile pre-crash
-  // directory is trusted.
-  const size_t page_bytes = PageBytes();
-  const size_t num_pages = pmem_.used() / page_bytes;
-  pages_.clear();
-  for (size_t p = 0; p < num_pages; ++p) {
-    pages_.push_back({pmem_.AddressAt(p * page_bytes)});
-  }
-  // Never resume filling a possibly-torn tail page: the next claim after
-  // recovery opens a fresh page (out-of-place stores never reclaim slots
-  // anyway).
-  next_slot_.store(static_cast<uint32_t>(config_.slots_per_page),
-                   std::memory_order_relaxed);
-
-  // Scan every slot; trust only validating commit headers. Zeroed (never
-  // written or crash-discarded) slots fail the magic check, torn headers
-  // cannot complete the trailing magic, and torn payloads fail the CRC.
-  struct Recovered {
-    Key key;
-    Value handle;
-    uint64_t seqno;
-  };
-  std::vector<Recovered> records;
-  records.reserve(num_pages * config_.slots_per_page);
-  std::vector<uint8_t> record(RecordBytes());
-  uint64_t max_seqno = 0;
-  for (uint32_t p = 0; p < num_pages; ++p) {
-    for (uint32_t s = 0; s < config_.slots_per_page; ++s) {
-      pmem_.Read(SlotAddr(p, s), record.data(), record.size());
-      SlotHeader header;
-      std::memcpy(&header, record.data() + PayloadBytes(),
-                  sizeof(SlotHeader));
-      if (header.magic != kCommitMagic || header.seqno == 0) continue;
-      if (Crc32c(record.data(), PayloadBytes()) != header.crc) continue;
-      Key key;
-      std::memcpy(&key, record.data(), sizeof(Key));
-      records.push_back({key, PackHandle(p, s), header.seqno});
-      max_seqno = std::max(max_seqno, header.seqno);
-    }
-  }
-  // Out-of-place updates leave several committed records per key; the
-  // highest seqno wins.
-  std::sort(records.begin(), records.end(),
-            [](const Recovered& a, const Recovered& b) {
-              return a.key != b.key ? a.key < b.key : a.seqno < b.seqno;
-            });
-  std::vector<KeyValue> unique;
-  unique.reserve(records.size());
-  for (const Recovered& r : records) {
-    if (!unique.empty() && unique.back().key == r.key) {
-      unique.back().value = r.handle;
-    } else {
-      unique.push_back({r.key, r.handle});
-    }
-  }
-  index_->BulkLoad(unique);
-  size_.store(unique.size(), std::memory_order_relaxed);
-  next_seqno_.store(max_seqno + 1, std::memory_order_relaxed);
-  return timer.ElapsedNanos();
 }
 
 }  // namespace pieces

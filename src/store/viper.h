@@ -5,36 +5,28 @@
 // this repo plugs in through the OrderedIndex interface, so end-to-end
 // benches exercise identical code paths around the index under test.
 //
-// Durability follows Viper's per-record commit metadata: each slot is
-// [key | value | SlotHeader], and the header (monotonic seqno + CRC32C
-// over key+value + commit magic) is persisted *after* the payload. A slot
-// counts as durable only when its header validates, so recovery after a
-// crash (see crash_controller.h) reconstructs exactly the
-// acknowledged-durable prefix: torn or uncommitted slots are skipped and
-// duplicate keys resolve to the highest seqno.
-//
-// Recovery (Fig. 16) rebuilds the DRAM index by scanning the PMem pages:
-// collect committed (key, handle) pairs, sort, bulk-load — its cost is
+// The record layout, commit protocol, bulk load and recovery are the
+// record core's (store/record_core.h). This store supplies the medium:
+// slots in PMem pages, and a persist fence over the exact byte range as
+// the barrier — two persists per put (payload range, then the 16-byte
+// header range) and one per page span in bulk load. Recovery (Fig. 16)
+// re-derives the page directory from the allocator extent; its cost is
 // dominated by the index's build time, which is what the paper measures.
 #ifndef PIECES_STORE_VIPER_H_
 #define PIECES_STORE_VIPER_H_
 
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "index/ordered_index.h"
-#include "store/record_format.h"
+#include "store/record_core.h"
 #include "store/sim_pmem.h"
-#include "store/store_backend.h"
 
 namespace pieces {
 
-class ViperStore : public StoreBackend {
+class ViperStore : public RecordCore {
  public:
   struct Config {
     size_t value_size = 200;     // The paper's 200-byte values.
@@ -44,42 +36,10 @@ class ViperStore : public StoreBackend {
     uint64_t write_latency_ns = 0;
   };
 
-  // Per-slot commit metadata, persisted after the payload — the shared
-  // on-media record layout (store/record_format.h): magic sits last so a
-  // torn header flush can never validate.
-  using SlotHeader = RecordHeader;
-  static constexpr uint32_t kCommitMagic = kRecordCommitMagic;
-
   ViperStore(std::unique_ptr<OrderedIndex> index, const Config& config);
 
   ViperStore(const ViperStore&) = delete;
   ViperStore& operator=(const ViperStore&) = delete;
-
-  // Bulk-loads `keys` with synthetic values derived from each key, one
-  // batched persist barrier per filled page. Returns false when PMem
-  // capacity is exceeded.
-  bool BulkLoad(const std::vector<Key>& keys) override;
-
-  // Bulk-load with caller-provided values: `fill` writes value_size bytes
-  // for each key into the supplied buffer. This is the live-migration
-  // path — a shard split hands its records to the replacement stores with
-  // the *stored* values (which may not be synthetic) preserved.
-  bool BulkLoad(const std::vector<Key>& keys,
-                const std::function<void(Key, uint8_t*)>& fill) override;
-
-  // The deterministic value PutSynthetic/BulkLoad store for `key`, exposed
-  // so tests and oracles can verify read payloads byte-for-byte.
-  static void FillSyntheticValue(Key key, uint8_t* buf, size_t value_size);
-
-  // Inserts or updates. `value` must be exactly value_size bytes.
-  // Durability order: payload persist, then header persist, then the
-  // index swing, then the acknowledgement — so a true return means the
-  // record survives any later crash, and a false return means recovery
-  // will never resurrect it (a failed index swing revokes the slot's
-  // commit header before returning).
-  bool Put(Key key, const uint8_t* value) override;
-  // Convenience: writes a synthetic value derived from `key`.
-  bool PutSynthetic(Key key) override;
 
   // Reads the value into `out` (value_size bytes). False when absent.
   bool Get(Key key, uint8_t* out) const override;
@@ -102,22 +62,8 @@ class ViperStore : public StoreBackend {
   // again (any access in between throws SimulatedCrash).
   void Crash() override { pmem_.Crash(); }
 
-  // Drops the DRAM index and rebuilds it from the PMem pages, trusting
-  // only slots whose commit header validates (seqno != 0, magic, CRC) and
-  // resolving duplicate keys by highest seqno. Re-derives the page
-  // directory and the next seqno from durable state, so it is exactly as
-  // good after a crash as after a clean shutdown, and idempotent.
-  // Returns the rebuild wall time in nanoseconds.
-  uint64_t Recover() override;
-
-  const OrderedIndex& index() const override { return *index_; }
-  OrderedIndex* mutable_index() override { return index_.get(); }
   const SimulatedPmem& pmem() const { return pmem_; }
   SimulatedPmem& mutable_pmem() { return pmem_; }
-  size_t size() const override {
-    return size_.load(std::memory_order_relaxed);
-  }
-  size_t value_size() const override { return config_.value_size; }
   std::string_view BackendName() const override { return "viper"; }
   StoreIoStats IoStats() const override {
     StoreIoStats stats;
@@ -126,8 +72,6 @@ class ViperStore : public StoreBackend {
     stats.barriers = pmem_.persist_count();
     return stats;  // Byte-addressable: no pages, no pool.
   }
-  // Bytes of one on-PMem record: key + value + commit header.
-  size_t record_bytes() const { return RecordBytes(); }
 
   // Table III columns.
   size_t IndexStructureBytes() const { return index_->IndexSizeBytes(); }
@@ -137,44 +81,31 @@ class ViperStore : public StoreBackend {
   }
 
  private:
-  struct PageRef {
-    uint8_t* base;
-  };
-
-  static Value PackHandle(uint32_t page, uint32_t slot) {
-    return (static_cast<uint64_t>(page) << 16) | slot;
-  }
-  static uint32_t HandlePage(Value v) {
-    return static_cast<uint32_t>(v >> 16);
-  }
-  static uint32_t HandleSlot(Value v) {
-    return static_cast<uint32_t>(v & 0xffff);
-  }
-
-  size_t PayloadBytes() const { return sizeof(Key) + config_.value_size; }
-  size_t RecordBytes() const { return PayloadBytes() + sizeof(SlotHeader); }
   // One page's allocation size (Allocate rounds to 8 bytes).
   size_t PageBytes() const {
-    return (RecordBytes() * config_.slots_per_page + 7) & ~size_t{7};
+    return (record_bytes() * config_.slots_per_page + 7) & ~size_t{7};
   }
   uint8_t* SlotAddr(uint32_t page, uint32_t slot) const {
-    return pages_[page].base + slot * RecordBytes();
+    return pages_[page] + slot * record_bytes();
   }
-  // Claims a fresh slot, allocating a page if needed; returns false on
-  // PMem exhaustion.
-  bool ClaimSlot(uint32_t* page, uint32_t* slot);
-  void FillSynthetic(Key key, uint8_t* buf) const;
-  // Header for a record buffer whose first PayloadBytes() are key+value.
-  SlotHeader MakeHeader(const uint8_t* payload);
+
+  // ---- RecordCore medium ----
+  bool ClaimRun(size_t max, SlotRun* run) override;
+  void WriteBytes(uint8_t* dst, const void* src, size_t n) override {
+    pmem_.Write(dst, src, n);
+  }
+  // Byte-addressable: one persist from the first run's range to the last
+  // run's. Runs here are one record, or one bulk-load span of a page.
+  void Barrier(std::span<const SlotRun> runs, size_t offset,
+               size_t n) override;
+  size_t ReopenForRecovery() override;
+  void ReadPage(uint32_t page, uint8_t* out) const override;
 
   Config config_;
   SimulatedPmem pmem_;
-  std::unique_ptr<OrderedIndex> index_;
-  std::vector<PageRef> pages_;
-  mutable std::mutex pages_mutex_;
-  std::atomic<uint32_t> next_slot_{0};  // Slot within the last page.
-  std::atomic<size_t> size_{0};
-  std::atomic<uint64_t> next_seqno_{1};
+  std::vector<uint8_t*> pages_;  // page base addresses
+  std::mutex pages_mutex_;       // guards pages_ growth and next_slot_
+  uint32_t next_slot_ = 0;       // slot within the last page
 };
 
 }  // namespace pieces

@@ -68,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(AllUpdatable, CrashSweepTest,
 class TornWriteSweepTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TornWriteSweepTest, DenseTearOffsets) {
-  static_assert(sizeof(ViperStore::SlotHeader) == 16);
+  static_assert(sizeof(RecordHeader) == 16);
   CrashSweepResult res = RunCrashSweep(GetParam(), SweepConfig(1),
                                        {kNoTear, 1, 7, 8, 15, 16, 23});
   EXPECT_TRUE(res.ok) << res.report;

@@ -332,7 +332,7 @@ std::optional<Failure> ExecuteStoreStream(const std::string& index_name,
 // two barriers fired is recovered from the persist counter, making the
 // expected post-crash state fully deterministic:
 //   * payload barrier (delta 1): no header ever written — strict oracle;
-//   * header barrier, tear < sizeof(SlotHeader): the trailing magic never
+//   * header barrier, tear < sizeof(RecordHeader): the trailing magic never
 //     completes — strict oracle;
 //   * header barrier, tear covers the whole header: the in-flight put is
 //     durable despite never being acknowledged — oracle plus that put.
@@ -420,7 +420,7 @@ std::optional<Failure> ExecuteCrashRun(const std::string& index_name,
     uint64_t delta = store.pmem().persist_count() - put_persists_before;
     pending_durable =
         delta == 2 && tear != CrashController::kNoTear &&
-        tear >= static_cast<int64_t>(sizeof(ViperStore::SlotHeader));
+        tear >= static_cast<int64_t>(sizeof(RecordHeader));
   } else {
     // The (possibly minimized) stream crossed fewer than crash_at
     // barriers: power-fail at the quiescent end instead so the

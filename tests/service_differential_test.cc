@@ -73,7 +73,7 @@ void ExpectFinalStateMatches(KvService* svc, const std::set<Key>& oracle) {
   for (Key k : oracle) {
     if (i++ % 37 != 0) continue;  // Sample; full scan already compared keys.
     ASSERT_EQ(svc->Get(k, got.data()), RequestStatus::kOk) << k;
-    ViperStore::FillSyntheticValue(k, want.data(), want.size());
+    FillSyntheticRecordValue(k, want.data(), want.size());
     EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size()), 0) << k;
   }
 }
@@ -108,7 +108,7 @@ TEST_P(ServiceDifferentialTest, SequentialMixedWorkloadMatchesOracle) {
         RequestStatus st = svc.Get(op.key, got.data());
         if (oracle.count(op.key) != 0) {
           ASSERT_EQ(st, RequestStatus::kOk) << op.key;
-          ViperStore::FillSyntheticValue(op.key, want.data(), want.size());
+          FillSyntheticRecordValue(op.key, want.data(), want.size());
           ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size()), 0)
               << op.key;
         } else {
@@ -180,7 +180,7 @@ TEST_P(ServiceDifferentialTest, ConcurrentClientsConvergeToOracleState) {
           bad_statuses.fetch_add(1);
           continue;
         }
-        ViperStore::FillSyntheticValue(k, want.data(), want.size());
+        FillSyntheticRecordValue(k, want.data(), want.size());
         if (std::memcmp(got.data(), want.data(), got.size()) != 0) {
           payload_mismatches.fetch_add(1);
         }

@@ -250,7 +250,7 @@ TEST(ServiceMaintenanceTest, BackgroundRetrainingKeepsServiceCorrect) {
   std::vector<uint8_t> expected(svc.value_size());
   for (size_t i = 0; i < keys.size(); i += 511) {
     ASSERT_EQ(svc.Get(keys[i], got.data()), RequestStatus::kOk) << keys[i];
-    ViperStore::FillSyntheticValue(keys[i], expected.data(), expected.size());
+    FillSyntheticRecordValue(keys[i], expected.data(), expected.size());
     EXPECT_EQ(std::memcmp(got.data(), expected.data(), got.size()), 0);
   }
   ServiceStats stats = svc.Stats();
@@ -282,7 +282,7 @@ TEST(ServiceTest, SyncGetPutScanRoundTrip) {
 
   std::vector<uint8_t> got(svc.value_size());
   std::vector<uint8_t> expected(svc.value_size());
-  ViperStore::FillSyntheticValue(keys[100], expected.data(), expected.size());
+  FillSyntheticRecordValue(keys[100], expected.data(), expected.size());
   EXPECT_EQ(svc.Get(keys[100], got.data()), RequestStatus::kOk);
   EXPECT_EQ(std::memcmp(got.data(), expected.data(), got.size()), 0);
 
@@ -290,7 +290,7 @@ TEST(ServiceTest, SyncGetPutScanRoundTrip) {
   Key absent = keys.back() + 12345;
   EXPECT_EQ(svc.Get(absent, got.data()), RequestStatus::kNotFound);
   EXPECT_EQ(svc.Put(absent), RequestStatus::kOk);
-  ViperStore::FillSyntheticValue(absent, expected.data(), expected.size());
+  FillSyntheticRecordValue(absent, expected.data(), expected.size());
   EXPECT_EQ(svc.Get(absent, got.data()), RequestStatus::kOk);
   EXPECT_EQ(std::memcmp(got.data(), expected.data(), got.size()), 0);
 

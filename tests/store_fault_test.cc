@@ -2,9 +2,14 @@
 // exhaustion mid-stream, recovery after mixed insert/update traffic,
 // recovery idempotence, latency accounting, and the crash primitives —
 // unpersisted-write discard, torn persists, programmed crash points, and
-// the store-level commit protocol (unacknowledged puts never recover).
+// the store-level commit protocol on both media (unacknowledged puts
+// never recover, a payload that fails its CRC never wins).
+#include <unistd.h>
+
 #include <cstring>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +17,7 @@
 #include "common/random.h"
 #include "index/registry.h"
 #include "store/crash_controller.h"
+#include "store/disk_store.h"
 #include "store/sim_pmem.h"
 #include "store/viper.h"
 #include "workload/datasets.h"
@@ -188,38 +194,103 @@ TEST(StoreFaultTest, FailAfterPersistsCountsBarriers) {
   for (uint8_t byte : buf) EXPECT_EQ(byte, 0x44);
 }
 
-// --- Store-level commit protocol ---
+// --- Store-level commit protocol, on both media ---
+
+// The record core's commit and recovery under each medium's own barrier:
+// persist fences on ViperStore, fsyncs on DiskStore.
+class StoreCommitFaultTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  static constexpr size_t kValueSize = 200;
+
+  RecordCore& MakeStore(const std::string& index) {
+    if (GetParam() == "viper") {
+      ViperStore::Config cfg;
+      cfg.pmem_capacity = 8 << 20;
+      viper_ = std::make_unique<ViperStore>(MakeIndex(index), cfg);
+      return *viper_;
+    }
+    DiskStore::Config cfg;
+    cfg.value_size = kValueSize;
+    cfg.file_capacity = 8 << 20;
+    cfg.path = testing::TempDir() + "/pieces_store_fault_" +
+               std::to_string(::getpid()) + ".pages";
+    disk_ = std::make_unique<DiskStore>(MakeIndex(index), cfg);
+    EXPECT_TRUE(disk_->ok()) << disk_->error();
+    return *disk_;
+  }
+
+  // Power fails at the nth barrier from now; `tear` bytes of it commit.
+  void ArmCrash(uint64_t n, int64_t tear = CrashController::kNoTear) {
+    if (viper_) {
+      viper_->mutable_pmem().crash().FailAfterPersists(n, tear);
+    } else {
+      disk_->mutable_pages().FailAfterSyncs(n, tear);
+    }
+  }
+
+  // A tear that commits a put's whole payload barrier: the payload range
+  // on PMem, the whole page on disk (its header bytes are still zero).
+  int64_t WholePayloadTear() const {
+    return viper_ ? static_cast<int64_t>(sizeof(Key) + kValueSize)
+                  : static_cast<int64_t>(disk_->pages().page_size());
+  }
+
+  // Flips the first value byte of the record at `handle` durably on the
+  // medium, leaving its header intact.
+  void CorruptValueByte(Value handle) {
+    const uint32_t page = RecordCore::HandlePage(handle);
+    const uint32_t slot = RecordCore::HandleSlot(handle);
+    if (viper_) {
+      const size_t rb = viper_->record_bytes();
+      // 200-byte values: 224-byte records, so pages carry no padding.
+      ASSERT_EQ(rb * viper_->slots_per_page() % 8, 0u);
+      uint8_t* addr = viper_->mutable_pmem().AddressAt(
+          (page * viper_->slots_per_page() + slot) * rb + sizeof(Key));
+      uint8_t byte;
+      viper_->pmem().Read(addr, &byte, 1);
+      byte ^= 0xff;
+      viper_->mutable_pmem().Write(addr, &byte, 1);
+      viper_->mutable_pmem().Persist(addr, 1);
+    } else {
+      PageStore& pages = disk_->mutable_pages();
+      std::vector<uint8_t> buf(pages.page_size());
+      pages.ReadPage(page, buf.data());
+      buf[slot * disk_->record_bytes() + sizeof(Key)] ^= 0xff;
+      pages.WritePage(page, buf.data());
+      pages.Sync();
+    }
+  }
+
+ private:
+  std::unique_ptr<ViperStore> viper_;
+  std::unique_ptr<DiskStore> disk_;
+};
 
 // Crash between the payload barrier and the header barrier: the put was
 // never acknowledged, so recovery must not resurrect it.
-TEST(StoreFaultTest, PutNotAcknowledgedIsNotRecovered) {
-  ViperStore::Config cfg;
-  cfg.pmem_capacity = 8 << 20;
-  ViperStore store(MakeIndex("BTree"), cfg);
+TEST_P(StoreCommitFaultTest, PutNotAcknowledgedIsNotRecovered) {
+  RecordCore& store = MakeStore("BTree");
   std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
   ASSERT_TRUE(store.BulkLoad(keys));
-  store.mutable_pmem().crash().FailAfterPersists(1);  // payload barrier
+  ArmCrash(1);  // payload barrier
   EXPECT_THROW(store.PutSynthetic(5000), SimulatedCrash);
   store.Recover();
   EXPECT_EQ(store.size(), keys.size());
-  std::vector<uint8_t> buf(200);
+  std::vector<uint8_t> buf(kValueSize);
   EXPECT_FALSE(store.Get(5000, buf.data()));
   for (Key k : keys) EXPECT_TRUE(store.Get(k, buf.data())) << k;
 }
 
 // Same crash point but the torn write commits the whole payload: still
 // no header, still not recovered — payload bytes alone never validate.
-TEST(StoreFaultTest, TornPayloadWithoutHeaderIsNotRecovered) {
-  ViperStore::Config cfg;
-  cfg.pmem_capacity = 8 << 20;
-  ViperStore store(MakeIndex("BTree"), cfg);
+TEST_P(StoreCommitFaultTest, TornPayloadWithoutHeaderIsNotRecovered) {
+  RecordCore& store = MakeStore("BTree");
   std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
   ASSERT_TRUE(store.BulkLoad(keys));
-  store.mutable_pmem().crash().FailAfterPersists(
-      1, static_cast<int64_t>(sizeof(Key) + cfg.value_size));
+  ArmCrash(1, WholePayloadTear());
   EXPECT_THROW(store.PutSynthetic(5000), SimulatedCrash);
   store.Recover();
-  std::vector<uint8_t> buf(200);
+  std::vector<uint8_t> buf(kValueSize);
   EXPECT_FALSE(store.Get(5000, buf.data()));
 }
 
@@ -227,21 +298,46 @@ TEST(StoreFaultTest, TornPayloadWithoutHeaderIsNotRecovered) {
 // record durable when the index swing failed, so recovery resurrected a
 // put whose caller was told it failed. A read-only index rejects every
 // Insert, making the failed swing deterministic.
-TEST(StoreFaultTest, FailedIndexSwingDoesNotResurrect) {
-  ViperStore::Config cfg;
-  cfg.pmem_capacity = 8 << 20;
-  ViperStore store(MakeIndex("RMI"), cfg);
+TEST_P(StoreCommitFaultTest, FailedIndexSwingDoesNotResurrect) {
+  RecordCore& store = MakeStore("RMI");
   std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
   ASSERT_TRUE(store.BulkLoad(keys));
   EXPECT_FALSE(store.PutSynthetic(5000));  // swing fails, header revoked
   store.Crash();
   store.Recover();
   EXPECT_EQ(store.size(), keys.size());
-  std::vector<uint8_t> buf(200);
+  std::vector<uint8_t> buf(kValueSize);
   EXPECT_FALSE(store.Get(5000, buf.data()))
       << "unacknowledged put resurrected by recovery";
   for (Key k : keys) EXPECT_TRUE(store.Get(k, buf.data())) << k;
 }
+
+// A header that validates over a payload that does not: only the CRC
+// can reject the record, and recovery falls back to the key's older one.
+TEST_P(StoreCommitFaultTest, CorruptPayloadFailsCrcAndOlderRecordWins) {
+  RecordCore& store = MakeStore("BTree");
+  ASSERT_TRUE(store.BulkLoad(MakeSequentialKeys(100, 1, 1)));
+  const std::vector<uint8_t> older(kValueSize, 0x11);
+  const std::vector<uint8_t> newer(kValueSize, 0x22);
+  ASSERT_TRUE(store.Put(5000, older.data()));
+  ASSERT_TRUE(store.Put(5000, newer.data()));
+  store.Recover();  // size() now counts distinct keys
+  const size_t size = store.size();
+  Value handle;
+  ASSERT_TRUE(store.index().Get(5000, &handle));
+  CorruptValueByte(handle);
+  store.Recover();
+  EXPECT_EQ(store.size(), size);
+  std::vector<uint8_t> buf(kValueSize);
+  ASSERT_TRUE(store.Get(5000, buf.data()));
+  EXPECT_EQ(buf, older);
+}
+
+INSTANTIATE_TEST_SUITE_P(Media, StoreCommitFaultTest,
+                         ::testing::Values("viper", "disk"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(StoreFaultTest, KeyZeroAndBoundaryKeys) {
   // Keys 0 and 2^64-2 are valid; 2^64-1 is reserved as the gap sentinel.
