@@ -5,6 +5,7 @@
 //  * LSA-gap achieves lower mean error than LSA at equal segmentation;
 //  * the greedy spline respects its error corridor.
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,12 @@ struct Case {
   size_t n;
   size_t eps;
 };
+
+// Without this gtest prints a Case as its raw bytes, which include the
+// dataset pointer; the test names would then change from run to run.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.dataset << "_n" << c.n << "_eps" << c.eps;
+}
 
 class PlaPropertyTest : public ::testing::TestWithParam<Case> {};
 
