@@ -97,15 +97,10 @@ KvService::KvService(const std::string& index_name,
   auto* snap = new Snapshot;
   snap->version = 1;
   snap->partition = RangePartition(config.num_shards, bootstrap_sample);
-  const size_t n = snap->partition.num_shards();
-  snap->shards.reserve(n);
-  snap->replicas.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    ShardParts parts = MakeShard(s);
-    snap->shards.push_back(std::move(parts.shard));
-    snap->replicas.push_back(std::move(parts.replica));
+  for (size_t s = 0; s < snap->partition.num_shards(); ++s) {
+    const size_t id = next_shard_id_++;
+    snap->slots.push_back(MakeSlot(id, MakeStore(id, /*replica=*/false)));
   }
-  next_shard_id_ = n;
   snapshot_.store(snap, std::memory_order_release);
 }
 
@@ -145,70 +140,52 @@ std::unique_ptr<StoreBackend> KvService::MakeStore(size_t id, bool replica) {
   return std::make_unique<ViperStore>(std::move(index), config_.store);
 }
 
-KvService::ShardParts KvService::MakeShard(size_t id) {
-  std::unique_ptr<StoreBackend> store = MakeStore(id, /*replica=*/false);
-  ShardParts parts;
+KvService::Slot KvService::MakeSlot(size_t id,
+                                    std::unique_ptr<StoreBackend> store) {
+  Slot slot;
   if (config_.replication.enabled) {
-    parts.replica = std::make_shared<replication::ReplicaSession>(
+    slot.replica = std::make_shared<replication::ReplicaSession>(
         MakeStore(id, /*replica=*/true), config_.replication);
-    // The log (a shared_ptr) taps the primary's commit path; it outlives
-    // the store no matter which side is torn down first.
-    store->SetCommitTap(parts.replica->log());
   }
-  parts.shard = std::make_shared<Shard>(id, std::move(store),
-                                        config_.queue_capacity,
-                                        config_.maintenance,
-                                        config_.writers_per_shard);
-  if (parts.replica != nullptr) {
-    parts.shard->AttachReplication(
-        parts.replica, config_.replication.ack ==
-                           replication::ReplicationConfig::AckMode::kReplicated);
+  // The log (a shared_ptr) taps the primary's commit path; it outlives the
+  // store no matter which side is torn down first. A promoted store still
+  // carries its old session's tap, which this replaces (or clears).
+  store->SetCommitTap(slot.replica != nullptr ? slot.replica->log() : nullptr);
+  slot.shard = std::make_shared<Shard>(id, std::move(store),
+                                       config_.queue_capacity,
+                                       config_.maintenance,
+                                       config_.writers_per_shard);
+  if (slot.replica != nullptr) {
+    slot.shard->AttachReplication(
+        slot.replica, config_.replication.ack ==
+                          replication::ReplicationConfig::AckMode::kReplicated);
+    // The store's image bypassed the log; seed before any write commits.
+    // (A constructor's stores are still empty: BulkLoad seeds them.)
+    if (slot.shard->store()->size() != 0) {
+      slot.replica->SeedFromPrimary(*slot.shard->store());
+    }
+    if (started_) slot.replica->Start();
   }
-  return parts;
-}
-
-KvService::ShardParts KvService::AdoptStore(
-    std::unique_ptr<StoreBackend> store) {
-  const size_t id = next_shard_id_++;
-  ShardParts parts;
-  // The promoted store still carries the old session's log tap; replace
-  // it with the new shadow replica's (or clear it).
-  store->SetCommitTap(nullptr);
-  if (config_.replication.enabled) {
-    parts.replica = std::make_shared<replication::ReplicaSession>(
-        MakeStore(id, /*replica=*/true), config_.replication);
-    store->SetCommitTap(parts.replica->log());
-  }
-  parts.shard = std::make_shared<Shard>(id, std::move(store),
-                                        config_.queue_capacity,
-                                        config_.maintenance,
-                                        config_.writers_per_shard);
-  if (parts.replica != nullptr) {
-    parts.shard->AttachReplication(
-        parts.replica, config_.replication.ack ==
-                           replication::ReplicationConfig::AckMode::kReplicated);
-    parts.replica->SeedFromPrimary(*parts.shard->store());
-    if (started_) parts.replica->Start();
-  }
-  if (started_) parts.shard->Start();
-  return parts;
+  if (started_) slot.shard->Start();
+  return slot;
 }
 
 bool KvService::BulkLoad(const std::vector<Key>& sorted_keys) {
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  for (size_t s = 0; s < snap->shards.size(); ++s) {
+  for (size_t s = 0; s < snap->slots.size(); ++s) {
+    const Slot& slot = snap->slots[s];
     auto begin = std::lower_bound(sorted_keys.begin(), sorted_keys.end(),
                                   snap->partition.LowerBound(s));
-    auto end = s + 1 < snap->shards.size()
+    auto end = s + 1 < snap->slots.size()
                    ? std::lower_bound(begin, sorted_keys.end(),
                                       snap->partition.LowerBound(s + 1))
                    : sorted_keys.end();
     std::vector<Key> part(begin, end);
-    if (!snap->shards[s]->store()->BulkLoad(part)) return false;
+    if (!slot.shard->store()->BulkLoad(part)) return false;
     // Bulk loads bypass the commit log (see CommitTap); replicas seed
     // directly from the quiesced primary image instead.
-    if (snap->replicas[s] != nullptr &&
-        !snap->replicas[s]->SeedFromPrimary(*snap->shards[s]->store())) {
+    if (slot.replica != nullptr &&
+        !slot.replica->SeedFromPrimary(*slot.shard->store())) {
       return false;
     }
   }
@@ -220,10 +197,10 @@ void KvService::Start() {
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
   // Shippers first: a semi-sync write acked by a worker needs a live
   // session from the very first request.
-  for (auto& session : snap->replicas) {
-    if (session != nullptr) session->Start();
+  for (const Slot& slot : snap->slots) {
+    if (slot.replica != nullptr) slot.replica->Start();
   }
-  for (auto& shard : snap->shards) shard->Start();
+  for (const Slot& slot : snap->slots) slot.shard->Start();
   started_ = true;
   if (config_.rebalance.enabled && !rebalancer_.joinable()) {
     stop_rebalancer_.store(false, std::memory_order_relaxed);
@@ -251,32 +228,34 @@ void KvService::DispatchToShard(const std::shared_ptr<Shard>& shard,
                                 int budget) {
   Shard::EnqueueResult result =
       shard->Enqueue(std::move(batch), config_.admission);
-  // Enqueue left the batch in place on any failure.
+  if (result == Shard::EnqueueResult::kAccepted) return;
+  // Enqueue left the batch in place.
+  const RequestStatus status = Bounce(result, version, budget);
+  if (status == RequestStatus::kOk) {
+    RouteBatch(std::move(batch), budget - 1);
+    return;
+  }
+  for (Request& req : batch) CompleteInline(req, status);
+}
+
+RequestStatus KvService::Bounce(Shard::EnqueueResult result,
+                                uint64_t version, int budget) {
   switch (result) {
-    case Shard::EnqueueResult::kAccepted:
-      return;
     case Shard::EnqueueResult::kRejected:
-      for (Request& req : batch) CompleteInline(req, RequestStatus::kRejected);
-      return;
+      return RequestStatus::kRejected;
     case Shard::EnqueueResult::kShutdown:
-      for (Request& req : batch) CompleteInline(req, RequestStatus::kShutdown);
-      return;
+      return RequestStatus::kShutdown;
+    case Shard::EnqueueResult::kAccepted:
     case Shard::EnqueueResult::kRetired:
       break;
   }
-  // The shard retired under us (live split/merge). Wait for the
-  // successor snapshot — the structural op publishes it right after the
-  // migration — and re-route. The budget bounds the chase across
-  // back-to-back structural ops.
-  if (budget <= 0) {
-    for (Request& req : batch) CompleteInline(req, RequestStatus::kRetry);
-    return;
-  }
-  if (!WaitForNewerSnapshot(version)) {
-    for (Request& req : batch) CompleteInline(req, RequestStatus::kShutdown);
-    return;
-  }
-  RouteBatch(std::move(batch), budget - 1);
+  // The shard retired under us (a transition). Wait for the successor
+  // snapshot — the transition publishes it right after building the
+  // replacements — and re-route. The budget bounds the chase across
+  // back-to-back transitions.
+  if (budget <= 0) return RequestStatus::kRetry;
+  return WaitForNewerSnapshot(version) ? RequestStatus::kOk
+                                       : RequestStatus::kShutdown;
 }
 
 bool KvService::TryReplicaRead(replication::ReplicaSession& session,
@@ -304,38 +283,42 @@ bool KvService::TryReplicaRead(replication::ReplicaSession& session,
 void KvService::RouteBatch(std::vector<Request>&& batch, int budget) {
   if (batch.empty()) return;
   uint64_t version;
-  std::vector<std::shared_ptr<Shard>> shards;
-  std::vector<std::shared_ptr<replication::ReplicaSession>> replicas;
+  std::vector<Slot> slots;
   std::vector<std::vector<Request>> buckets;
   const bool replica_reads =
       config_.replication.enabled &&
       config_.replication.reads != replication::ReplicationConfig::ReadPolicy::kOff;
   {
     // The guard pins the snapshot only while routing; the enqueues below
-    // may block on admission control, so they run on copied shard
-    // references instead of the snapshot itself.
+    // may block on admission control, so they run on copied references to
+    // the shards the batch touches (and their sessions, for replica reads)
+    // instead of the snapshot itself.
     EpochGuard guard;
     Snapshot* snap = snapshot_.load(std::memory_order_acquire);
     version = snap->version;
-    shards = snap->shards;
-    if (replica_reads) replicas = snap->replicas;
-    buckets.resize(shards.size());
+    buckets.resize(snap->slots.size());
     for (Request& req : batch) {
       buckets[snap->partition.ShardOf(req.key)].push_back(std::move(req));
+    }
+    slots.resize(buckets.size());
+    for (size_t s = 0; s < buckets.size(); ++s) {
+      if (buckets[s].empty()) continue;
+      slots[s].shard = snap->slots[s].shard;
+      if (replica_reads) slots[s].replica = snap->slots[s].replica;
     }
   }
   const size_t max_batch = std::max<size_t>(1, config_.max_batch);
   for (size_t s = 0; s < buckets.size(); ++s) {
     std::vector<Request>& bucket = buckets[s];
     if (bucket.empty()) continue;
-    if (replica_reads && replicas[s] != nullptr) {
+    if (slots[s].replica != nullptr) {
       // Offload reads the replica can serve within its watermark; the
       // rest (all writes, and reads the replica bounced) fall through to
       // the primary's queue in their original order.
       size_t kept = 0;
       for (size_t i = 0; i < bucket.size(); ++i) {
         if (bucket[i].type == OpType::kRead &&
-            TryReplicaRead(*replicas[s], bucket[i])) {
+            TryReplicaRead(*slots[s].replica, bucket[i])) {
           continue;
         }
         if (kept != i) bucket[kept] = std::move(bucket[i]);
@@ -345,14 +328,14 @@ void KvService::RouteBatch(std::vector<Request>&& batch, int budget) {
       if (bucket.empty()) continue;
     }
     if (bucket.size() <= max_batch) {
-      DispatchToShard(shards[s], version, std::move(bucket), budget);
+      DispatchToShard(slots[s].shard, version, std::move(bucket), budget);
       continue;
     }
     for (size_t i = 0; i < bucket.size(); i += max_batch) {
       const size_t end = std::min(bucket.size(), i + max_batch);
       std::vector<Request> chunk(std::make_move_iterator(bucket.begin() + i),
                                  std::make_move_iterator(bucket.begin() + end));
-      DispatchToShard(shards[s], version, std::move(chunk), budget);
+      DispatchToShard(slots[s].shard, version, std::move(chunk), budget);
     }
   }
 }
@@ -425,11 +408,10 @@ void KvService::FanOutScan(Request req, int budget) {
     Snapshot* snap = snapshot_.load(std::memory_order_acquire);
     version = snap->version;
     first = snap->partition.ShardOf(req.key);
-    shards.assign(snap->shards.begin() + first, snap->shards.end());
-    starts.reserve(shards.size());
     starts.push_back(req.key);
-    for (size_t i = first + 1; i < snap->shards.size(); ++i) {
-      starts.push_back(snap->partition.LowerBound(i));
+    for (size_t i = first; i < snap->slots.size(); ++i) {
+      shards.push_back(snap->slots[i].shard);
+      if (i > first) starts.push_back(snap->partition.LowerBound(i));
     }
   }
   const size_t n = shards.size();
@@ -438,29 +420,15 @@ void KvService::FanOutScan(Request req, int budget) {
     batch.push_back(std::move(req));
     Shard::EnqueueResult result =
         shards[0]->Enqueue(std::move(batch), config_.admission);
-    switch (result) {
-      case Shard::EnqueueResult::kAccepted:
-        return;
-      case Shard::EnqueueResult::kRejected:
-        CompleteInline(batch[0], RequestStatus::kRejected);
-        return;
-      case Shard::EnqueueResult::kShutdown:
-        CompleteInline(batch[0], RequestStatus::kShutdown);
-        return;
-      case Shard::EnqueueResult::kRetired:
-        break;
-    }
-    // Still on the submitting thread: safe to wait out the split and
+    if (result == Shard::EnqueueResult::kAccepted) return;
+    // Still on the submitting thread: safe to wait out the transition and
     // retry the whole scan against the successor snapshot.
-    if (budget <= 0) {
-      CompleteInline(batch[0], RequestStatus::kRetry);
-      return;
+    const RequestStatus status = Bounce(result, version, budget);
+    if (status == RequestStatus::kOk) {
+      FanOutScan(std::move(batch[0]), budget - 1);
+    } else {
+      CompleteInline(batch[0], status);
     }
-    if (!WaitForNewerSnapshot(version)) {
-      CompleteInline(batch[0], RequestStatus::kShutdown);
-      return;
-    }
-    FanOutScan(std::move(batch[0]), budget - 1);
     return;
   }
   auto join = std::make_shared<ScanJoin>();
@@ -492,16 +460,12 @@ void KvService::FanOutScan(Request req, int budget) {
     Shard::EnqueueResult result =
         shards[i]->Enqueue(std::move(batch), config_.admission);
     if (result == Shard::EnqueueResult::kAccepted) continue;
-    // A bounced sub-scan marks the whole scan kRetry (worst-status wins
-    // over per-shard errors): the partition moved mid-fan-out, so the
-    // merged result could miss a key range. The caller re-submits — the
-    // synchronous Scan() wrapper does so automatically.
-    RequestStatus st = result == Shard::EnqueueResult::kRejected
-                           ? RequestStatus::kRejected
-                       : result == Shard::EnqueueResult::kShutdown
-                           ? RequestStatus::kShutdown
-                           : RequestStatus::kRetry;
-    CompleteInline(batch[0], st);
+    // A sub-scan never re-routes (budget 0): a retired shard marks the
+    // whole scan kRetry (worst-status wins over per-shard errors), as the
+    // partition moved mid-fan-out and the merged result could miss a key
+    // range. The caller re-submits — the synchronous Scan() wrapper does
+    // so automatically.
+    CompleteInline(batch[0], Bounce(result, version, /*budget=*/0));
   }
 }
 
@@ -590,7 +554,7 @@ void KvService::Drain() {
       EpochGuard guard;
       Snapshot* snap = snapshot_.load(std::memory_order_acquire);
       version = snap->version;
-      shards = snap->shards;
+      for (const Slot& slot : snap->slots) shards.push_back(slot.shard);
     }
     for (auto& shard : shards) shard->Drain();
     if (partition_version() == version) return;
@@ -611,9 +575,9 @@ void KvService::Shutdown() {
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
   // Workers first (they may be awaiting replication acks, which the live
   // shippers keep draining), then the sessions.
-  for (auto& shard : snap->shards) shard->Stop();
-  for (auto& session : snap->replicas) {
-    if (session != nullptr) session->Stop();
+  for (const Slot& slot : snap->slots) slot.shard->Stop();
+  for (const Slot& slot : snap->slots) {
+    if (slot.replica != nullptr) slot.replica->Stop();
   }
 }
 
@@ -630,193 +594,149 @@ void KvService::PublishSnapshot(Snapshot* next) {
   EpochManager::Global().Retire<Snapshot>(old);
 }
 
-KvService::ShardParts KvService::BuildShard(const std::vector<Key>& keys,
-                                            const std::vector<Shard*>& sources,
-                                            bool start) {
-  ShardParts parts = MakeShard(next_shard_id_++);
-  auto fill = [&](Key key, uint8_t* buf) {
+KvService::Slot KvService::Migrate(const std::vector<Key>& keys,
+                                   std::span<const Slot> sources) {
+  const size_t id = next_shard_id_++;
+  std::unique_ptr<StoreBackend> store = MakeStore(id, /*replica=*/false);
+  const bool filled = store->BulkLoad(keys, [&](Key key, uint8_t* buf) {
     // Sources are quiesced (stopped) and own disjoint ranges; preserve
     // the stored value rather than re-synthesizing it.
-    for (Shard* src : sources) {
-      if (src->store()->Get(key, buf)) return;
+    for (const Slot& src : sources) {
+      if (src.shard->store()->Get(key, buf)) return;
     }
     FillSyntheticRecordValue(key, buf, config_.store.value_size);
-  };
-  if (!parts.shard->store()->BulkLoad(keys, fill)) return {};
-  if (parts.replica != nullptr) {
-    // The bulk image bypassed the log; seed before any write commits.
-    parts.replica->SeedFromPrimary(*parts.shard->store());
-    if (start) parts.replica->Start();
+  });
+  if (!filled) return {};
+  return MakeSlot(id, std::move(store));
+}
+
+bool KvService::Transition(
+    size_t first, size_t count, std::atomic<uint64_t>& counter,
+    const std::function<bool(const Slot&)>& admit,
+    const std::function<Successor(std::span<const Slot>)>& build,
+    uint64_t* outage_ns) {
+  std::lock_guard<std::mutex> admin(admin_mu_);
+  if (shutdown_.load(std::memory_order_relaxed)) return false;
+  Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  if (first >= snap->slots.size() || count > snap->slots.size() - first) {
+    return false;
   }
-  if (start) parts.shard->Start();
-  return parts;
+  const auto lo = snap->slots.begin() + static_cast<std::ptrdiff_t>(first);
+  const auto hi = lo + static_cast<std::ptrdiff_t>(count);
+  const std::span<const Slot> retired(lo, hi);
+  for (const Slot& slot : retired) {
+    if (admit && !admit(slot)) return false;
+  }
+
+  // Quiesce: bounce new work (kRetired), finish accepted work, join the
+  // workers. Retiring is irreversible, so every path below publishes.
+  const uint64_t start = NowNanos();
+  for (const Slot& slot : retired) slot.shard->BeginRetire();
+  for (const Slot& slot : retired) slot.shard->Drain();
+  for (const Slot& slot : retired) slot.shard->Stop();
+
+  const std::vector<Key>& bounds = snap->partition.boundaries();
+  const auto inner = bounds.begin() + static_cast<std::ptrdiff_t>(first);
+  const auto outer = inner + static_cast<std::ptrdiff_t>(count - 1);
+  Successor next = build(retired);
+  const bool built = !next.slots.empty();
+  if (!built) {
+    // The one fallback: rebuild each retired shard in place (compacting
+    // it) and keep its boundaries. A shard's own records always fit a
+    // fresh store of the same configuration.
+    next.boundaries.assign(inner, outer);
+    for (const Slot& src : retired) {
+      std::vector<Key> keys;
+      src.shard->store()->Scan(0, src.shard->store()->size(), &keys);
+      next.slots.push_back(Migrate(keys, {&src, 1}));
+      if (next.slots.back().shard == nullptr) {
+        std::fprintf(stderr, "KvService: cannot rebuild shard %zu\n",
+                     src.shard->id());
+        std::abort();
+      }
+    }
+  }
+  // Workers are gone (no more acks to await) and the successor is built
+  // (a failover ships its tail first); the retired sessions would
+  // otherwise idle in epoch limbo until reclamation.
+  for (const Slot& slot : retired) {
+    if (slot.replica != nullptr) slot.replica->Stop();
+  }
+
+  std::vector<Key> nb(bounds.begin(), inner);
+  nb.insert(nb.end(), next.boundaries.begin(), next.boundaries.end());
+  nb.insert(nb.end(), outer, bounds.end());
+  auto* succ = new Snapshot;
+  succ->partition = RangePartition::FromBoundaries(std::move(nb));
+  succ->slots.assign(snap->slots.begin(), lo);
+  std::move(next.slots.begin(), next.slots.end(),
+            std::back_inserter(succ->slots));
+  succ->slots.insert(succ->slots.end(), hi, snap->slots.end());
+  PublishSnapshot(succ);
+  if (outage_ns != nullptr) *outage_ns = NowNanos() - start;
+  if (built) counter.fetch_add(1, std::memory_order_relaxed);
+  return built;
 }
 
 bool KvService::SplitShard(size_t shard_idx) {
-  std::lock_guard<std::mutex> admin(admin_mu_);
-  if (shutdown_.load(std::memory_order_relaxed)) return false;
-  Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  if (shard_idx >= snap->shards.size()) return false;
-  std::shared_ptr<Shard> old = snap->shards[shard_idx];
-  if (old->store()->size() < 2) return false;
-
-  // Quiesce: bounce new work (kRetired), finish accepted work, join the
-  // workers. From here the shard must be replaced — retire is
-  // irreversible — so every path below publishes a successor snapshot.
-  old->BeginRetire();
-  old->Drain();
-  old->Stop();
-  // Workers are gone (no more acks to await); the retired session would
-  // otherwise idle in epoch limbo until reclamation.
-  if (snap->replicas[shard_idx] != nullptr) snap->replicas[shard_idx]->Stop();
-
-  std::vector<Key> keys;
-  old->store()->Scan(0, old->store()->size(), &keys);
-
-  // Cut at the key median; an all-duplicates left half slides the cut
-  // right so both halves stay non-empty. `split` is an owned key, so
-  // LowerBound(shard_idx) <= keys.front() < split < LowerBound(idx + 1)
-  // and the new boundary list stays strictly increasing.
-  size_t cut = keys.size() / 2;
-  if (keys[cut] == keys.front()) {
-    cut = static_cast<size_t>(
-        std::upper_bound(keys.begin(), keys.end(), keys.front()) -
-        keys.begin());
-  }
-  auto* next = new Snapshot;
-  if (cut == 0 || cut >= keys.size()) {
-    // Every key equal: unsplittable. Rebuild as a single replacement
-    // shard so the retired one still leaves service.
-    ShardParts repl = BuildShard(keys, {old.get()}, started_);
-    next->partition = snap->partition;
-    next->shards = snap->shards;
-    next->replicas = snap->replicas;
-    next->shards[shard_idx] = std::move(repl.shard);
-    next->replicas[shard_idx] = std::move(repl.replica);
-    PublishSnapshot(next);
-    return false;
-  }
-  const Key split = keys[cut];
-  std::vector<Key> left_keys(keys.begin(), keys.begin() + cut);
-  std::vector<Key> right_keys(keys.begin() + cut, keys.end());
-  ShardParts left = BuildShard(left_keys, {old.get()}, started_);
-  ShardParts right = BuildShard(right_keys, {old.get()}, started_);
-
-  std::vector<Key> nb = snap->partition.boundaries();
-  nb.insert(nb.begin() + static_cast<std::ptrdiff_t>(shard_idx), split);
-  next->partition = RangePartition::FromBoundaries(std::move(nb));
-  next->shards = snap->shards;
-  next->replicas = snap->replicas;
-  next->shards[shard_idx] = std::move(left.shard);
-  next->replicas[shard_idx] = std::move(left.replica);
-  next->shards.insert(
-      next->shards.begin() + static_cast<std::ptrdiff_t>(shard_idx) + 1,
-      std::move(right.shard));
-  next->replicas.insert(
-      next->replicas.begin() + static_cast<std::ptrdiff_t>(shard_idx) + 1,
-      std::move(right.replica));
-  PublishSnapshot(next);
-  splits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return Transition(
+      shard_idx, 1, splits_,
+      [](const Slot& slot) { return slot.shard->store()->size() >= 2; },
+      [&](std::span<const Slot> retired) -> Successor {
+        const StoreBackend& store = *retired[0].shard->store();
+        std::vector<Key> keys;
+        store.Scan(0, store.size(), &keys);
+        // A store's keys are unique (bulk loads take unique keys, Put
+        // updates in place) and there are at least two, so the median
+        // cut keys[size / 2] > keys.front(): both halves are non-empty and
+        // the new boundary lies strictly inside the shard's range.
+        const auto cut = keys.begin() + static_cast<std::ptrdiff_t>(
+                                            keys.size() / 2);
+        Slot left = Migrate({keys.begin(), cut}, retired);
+        Slot right = Migrate({cut, keys.end()}, retired);
+        if (left.shard == nullptr || right.shard == nullptr) return {};
+        return {{std::move(left), std::move(right)}, {*cut}};
+      });
 }
 
 bool KvService::MergeShards(size_t left_idx) {
-  std::lock_guard<std::mutex> admin(admin_mu_);
-  if (shutdown_.load(std::memory_order_relaxed)) return false;
-  Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  if (left_idx + 1 >= snap->shards.size()) return false;
-  std::shared_ptr<Shard> a = snap->shards[left_idx];
-  std::shared_ptr<Shard> b = snap->shards[left_idx + 1];
-  a->BeginRetire();
-  b->BeginRetire();
-  a->Drain();
-  b->Drain();
-  a->Stop();
-  b->Stop();
-  if (snap->replicas[left_idx] != nullptr) snap->replicas[left_idx]->Stop();
-  if (snap->replicas[left_idx + 1] != nullptr) {
-    snap->replicas[left_idx + 1]->Stop();
-  }
-
-  // Adjacent ranges scanned in shard order: already globally sorted.
-  std::vector<Key> keys;
-  a->store()->Scan(0, a->store()->size(), &keys);
-  const size_t a_count = keys.size();
-  b->store()->Scan(0, b->store()->size(), &keys);
-
-  auto* next = new Snapshot;
-  next->shards = snap->shards;
-  next->replicas = snap->replicas;
-  ShardParts merged = BuildShard(keys, {a.get(), b.get()}, started_);
-  if (merged.shard == nullptr) {
-    // Combined records overflow one store: rebuild both halves in place
-    // (compacting them) and keep the boundary.
-    std::vector<Key> ka(keys.begin(), keys.begin() + a_count);
-    std::vector<Key> kb(keys.begin() + a_count, keys.end());
-    next->partition = snap->partition;
-    ShardParts ra = BuildShard(ka, {a.get()}, started_);
-    ShardParts rb = BuildShard(kb, {b.get()}, started_);
-    next->shards[left_idx] = std::move(ra.shard);
-    next->replicas[left_idx] = std::move(ra.replica);
-    next->shards[left_idx + 1] = std::move(rb.shard);
-    next->replicas[left_idx + 1] = std::move(rb.replica);
-    PublishSnapshot(next);
-    return false;
-  }
-  std::vector<Key> nb = snap->partition.boundaries();
-  nb.erase(nb.begin() + static_cast<std::ptrdiff_t>(left_idx));
-  next->partition = RangePartition::FromBoundaries(std::move(nb));
-  next->shards[left_idx] = std::move(merged.shard);
-  next->replicas[left_idx] = std::move(merged.replica);
-  next->shards.erase(next->shards.begin() +
-                     static_cast<std::ptrdiff_t>(left_idx) + 1);
-  next->replicas.erase(next->replicas.begin() +
-                       static_cast<std::ptrdiff_t>(left_idx) + 1);
-  PublishSnapshot(next);
-  merges_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return Transition(
+      left_idx, 2, merges_, nullptr,
+      [&](std::span<const Slot> retired) -> Successor {
+        // Adjacent ranges scanned in shard order: already globally sorted.
+        std::vector<Key> keys;
+        for (const Slot& slot : retired) {
+          slot.shard->store()->Scan(0, slot.shard->store()->size(), &keys);
+        }
+        Slot merged = Migrate(keys, retired);
+        if (merged.shard == nullptr) return {};
+        return {{std::move(merged)}, {}};
+      });
 }
 
 FailoverReport KvService::FailOverShard(size_t shard_idx, bool graceful) {
   FailoverReport report;
-  std::lock_guard<std::mutex> admin(admin_mu_);
-  if (shutdown_.load(std::memory_order_relaxed)) return report;
-  Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  if (shard_idx >= snap->shards.size()) return report;
-  std::shared_ptr<replication::ReplicaSession> session =
-      snap->replicas[shard_idx];
-  if (session == nullptr) return report;  // replication off
-  std::shared_ptr<Shard> old = snap->shards[shard_idx];
-
-  // The outage window: from the first bounced request to the successor
-  // snapshot going live.
-  const uint64_t outage_start = NowNanos();
-  old->BeginRetire();
-  old->Drain();
-  if (graceful) session->WaitCaughtUp(0);
-  old->Stop();
-
-  // Promotion = crash recovery on the replica's store: Stop the session,
-  // validate the commit headers, rebuild the index. Everything the
-  // shipper never delivered is gone — count it. (Under kReplicated ack
-  // mode none of those writes were acked to any client.)
-  std::unique_ptr<StoreBackend> promoted = session->Promote(&report.rebuild_ns);
-  replication::ReplicaSessionStats st = session->Stats();
-  report.lost_records = st.log_tail > st.applied ? st.log_tail - st.applied : 0;
-  // The failed primary's medium dies with it.
-  old->store()->Crash();
-
-  ShardParts parts = AdoptStore(std::move(promoted));
-  auto* next = new Snapshot;
-  next->partition = snap->partition;
-  next->shards = snap->shards;
-  next->replicas = snap->replicas;
-  next->shards[shard_idx] = std::move(parts.shard);
-  next->replicas[shard_idx] = std::move(parts.replica);
-  PublishSnapshot(next);
-  report.outage_ns = NowNanos() - outage_start;
-  report.ok = true;
-  failovers_.fetch_add(1, std::memory_order_relaxed);
+  report.ok = Transition(
+      shard_idx, 1, failovers_,
+      [](const Slot& slot) { return slot.replica != nullptr; },
+      [&](std::span<const Slot> retired) -> Successor {
+        const Slot& old = retired[0];
+        if (graceful) old.replica->WaitCaughtUp(0);
+        // Promotion = crash recovery on the replica's store: Stop the
+        // session, validate the commit headers, rebuild the index.
+        // Everything the shipper never delivered is gone — count it.
+        // (Under kReplicated ack mode none of those writes were acked.)
+        std::unique_ptr<StoreBackend> promoted =
+            old.replica->Promote(&report.rebuild_ns);
+        if (promoted == nullptr) return {};
+        replication::ReplicaSessionStats st = old.replica->Stats();
+        report.lost_records =
+            st.log_tail > st.applied ? st.log_tail - st.applied : 0;
+        // The failed primary's medium dies with it.
+        old.shard->store()->Crash();
+        return {{MakeSlot(next_shard_id_++, std::move(promoted))}, {}};
+      },
+      &report.outage_ns);
   return report;
 }
 
@@ -824,7 +744,9 @@ bool KvService::WaitReplicasCaughtUp() {
   std::vector<std::shared_ptr<replication::ReplicaSession>> replicas;
   {
     EpochGuard guard;
-    replicas = snapshot_.load(std::memory_order_acquire)->replicas;
+    for (const Slot& slot : snapshot_.load(std::memory_order_acquire)->slots) {
+      replicas.push_back(slot.replica);
+    }
   }
   bool ok = true;
   for (auto& session : replicas) {
@@ -838,66 +760,69 @@ std::shared_ptr<replication::ReplicaSession> KvService::replica_session(
     size_t shard) const {
   EpochGuard guard;
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  return shard < snap->replicas.size() ? snap->replicas[shard] : nullptr;
+  return shard < snap->slots.size() ? snap->slots[shard].replica : nullptr;
+}
+
+RebalanceAction ChooseRebalanceAction(const std::vector<double>& depths,
+                                      const std::vector<size_t>& keys,
+                                      const RebalanceConfig& config,
+                                      size_t queue_capacity) {
+  if (depths.empty()) return {};
+  const double split_depth =
+      config.split_queue_depth != 0
+          ? static_cast<double>(config.split_queue_depth)
+          : static_cast<double>(queue_capacity) * 0.75;
+  const size_t hottest = static_cast<size_t>(
+      std::max_element(depths.begin(), depths.end()) - depths.begin());
+  if (depths[hottest] >= split_depth && depths.size() < config.max_shards &&
+      keys[hottest] >= config.min_split_keys) {
+    return {RebalanceAction::Kind::kSplit, hottest};
+  }
+  if (config.merge_max_keys == 0) return {};
+  const double idle = split_depth * 0.25;
+  for (size_t i = 0; i + 1 < depths.size(); ++i) {
+    if (depths[i] < idle && depths[i + 1] < idle &&
+        keys[i] + keys[i + 1] <= config.merge_max_keys) {
+      return {RebalanceAction::Kind::kMerge, i};
+    }
+  }
+  return {};
 }
 
 void KvService::RebalanceLoop() {
   const RebalanceConfig& rb = config_.rebalance;
-  const double split_depth =
-      rb.split_queue_depth != 0
-          ? static_cast<double>(rb.split_queue_depth)
-          : static_cast<double>(config_.queue_capacity) * 0.75;
   uint64_t last_version = 0;
   std::vector<double> ewma;
+  std::vector<size_t> keys;
   uint64_t cooldown_until = 0;
   while (!stop_rebalancer_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(rb.poll_interval_ms));
-    uint64_t version;
-    std::vector<std::shared_ptr<Shard>> shards;
     {
       EpochGuard guard;
       Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-      version = snap->version;
-      shards = snap->shards;
-    }
-    if (version != last_version) {
-      // Shard positions shifted; stale pressure estimates would split
-      // the wrong shard.
-      ewma.assign(shards.size(), 0.0);
-      last_version = version;
-    }
-    size_t hottest = 0;
-    double hot = -1.0;
-    for (size_t i = 0; i < shards.size(); ++i) {
-      const double depth = static_cast<double>(shards[i]->QueueDepth());
-      ewma[i] += rb.ewma_alpha * (depth - ewma[i]);
-      if (ewma[i] > hot) {
-        hot = ewma[i];
-        hottest = i;
+      if (snap->version != last_version) {
+        // Shard positions shifted; stale pressure estimates would split
+        // the wrong shard.
+        ewma.assign(snap->slots.size(), 0.0);
+        last_version = snap->version;
+      }
+      keys.resize(snap->slots.size());
+      for (size_t i = 0; i < snap->slots.size(); ++i) {
+        const Shard& shard = *snap->slots[i].shard;
+        ewma[i] += rb.ewma_alpha *
+                   (static_cast<double>(shard.QueueDepth()) - ewma[i]);
+        keys[i] = shard.store().size();
       }
     }
-    const uint64_t now = NowNanos();
-    if (now < cooldown_until) continue;
-    if (hot >= split_depth && shards.size() < rb.max_shards &&
-        shards[hottest]->store()->size() >= rb.min_split_keys) {
-      if (SplitShard(hottest)) {
-        cooldown_until = NowNanos() + rb.cooldown_ms * 1000000;
-      }
-      continue;
-    }
-    if (rb.merge_max_keys == 0 || shards.size() < 2) continue;
-    const double idle = split_depth * 0.25;
-    for (size_t i = 0; i + 1 < shards.size(); ++i) {
-      if (ewma[i] < idle && ewma[i + 1] < idle &&
-          shards[i]->store()->size() + shards[i + 1]->store()->size() <=
-              rb.merge_max_keys) {
-        if (MergeShards(i)) {
-          cooldown_until = NowNanos() + rb.cooldown_ms * 1000000;
-        }
-        break;
-      }
-    }
+    if (NowNanos() < cooldown_until) continue;
+    const RebalanceAction action =
+        ChooseRebalanceAction(ewma, keys, rb, config_.queue_capacity);
+    using Kind = RebalanceAction::Kind;
+    const bool done = action.kind == Kind::kSplit   ? SplitShard(action.shard)
+                      : action.kind == Kind::kMerge ? MergeShards(action.shard)
+                                                    : false;
+    if (done) cooldown_until = NowNanos() + rb.cooldown_ms * 1000000;
   }
 }
 
@@ -906,12 +831,12 @@ std::vector<uint64_t> KvService::CrashAndRecover() {
   // a store in its crashed (inaccessible) state.
   std::lock_guard<std::mutex> admin(admin_mu_);
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  std::vector<uint64_t> rebuild_ns(snap->shards.size(), 0);
+  std::vector<uint64_t> rebuild_ns(snap->slots.size(), 0);
   std::vector<std::thread> workers;
-  workers.reserve(snap->shards.size());
-  for (size_t s = 0; s < snap->shards.size(); ++s) {
+  workers.reserve(snap->slots.size());
+  for (size_t s = 0; s < snap->slots.size(); ++s) {
     workers.emplace_back([snap, s, &rebuild_ns] {
-      rebuild_ns[s] = snap->shards[s]->CrashAndRecover();
+      rebuild_ns[s] = snap->slots[s].shard->CrashAndRecover();
     });
   }
   for (std::thread& w : workers) w.join();
@@ -920,7 +845,7 @@ std::vector<uint64_t> KvService::CrashAndRecover() {
 
 size_t KvService::num_shards() const {
   EpochGuard guard;
-  return snapshot_.load(std::memory_order_acquire)->shards.size();
+  return snapshot_.load(std::memory_order_acquire)->slots.size();
 }
 
 size_t KvService::ShardOf(Key key) const {
@@ -939,33 +864,29 @@ uint64_t KvService::partition_version() const {
 }
 
 size_t KvService::TotalKeys() const {
-  std::vector<std::shared_ptr<Shard>> shards;
-  {
-    EpochGuard guard;
-    shards = snapshot_.load(std::memory_order_acquire)->shards;
-  }
+  EpochGuard guard;
   size_t n = 0;
-  for (const auto& shard : shards) n += shard->store()->size();
+  for (const Slot& slot : snapshot_.load(std::memory_order_acquire)->slots) {
+    n += slot.shard->store()->size();
+  }
   return n;
 }
 
 ServiceStats KvService::Stats() const {
-  std::vector<std::shared_ptr<Shard>> shards;
-  std::vector<std::shared_ptr<replication::ReplicaSession>> replicas;
+  std::vector<Slot> slots;
   uint64_t version;
   {
     EpochGuard guard;
     Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-    shards = snap->shards;
-    replicas = snap->replicas;
+    slots = snap->slots;
     version = snap->version;
   }
   ServiceStats stats;
-  stats.shards.reserve(shards.size());
-  for (size_t i = 0; i < shards.size(); ++i) {
-    ShardStats s = shards[i]->Stats();
-    if (i < replicas.size() && replicas[i] != nullptr) {
-      replication::ReplicaSessionStats r = replicas[i]->Stats();
+  stats.shards.reserve(slots.size());
+  for (const Slot& slot : slots) {
+    ShardStats s = slot.shard->Stats();
+    if (slot.replica != nullptr) {
+      replication::ReplicaSessionStats r = slot.replica->Stats();
       s.repl_log_tail = r.log_tail;
       s.repl_applied = r.applied;
       s.repl_lag = r.lag;

@@ -18,41 +18,44 @@
 //    queue: kBlock applies backpressure to the client, kReject completes
 //    the request with RequestStatus::kRejected.
 //
-// Live rebalancing: the partition is a *versioned snapshot*
-// ({version, boundaries, shards}) behind an atomic pointer, read under an
-// EpochGuard and swapped RCU-style. Splitting a hot shard retires it
-// (every Enqueue bounces with kRetired), drains and stops it, migrates
-// its records into two replacement stores via the bulk-load path (stored
-// values preserved), and publishes a new snapshot; the old snapshot is
-// handed to the global EpochManager so in-flight routers finish safely.
-// A request that raced the swap re-routes against the fresh snapshot (a
-// bounded number of times, then completes with kRetry). An optional
-// rebalancer thread watches per-shard queue-depth pressure and triggers
-// splits (and merges of cold adjacent shards) automatically.
+// Structural transitions: the partition is a *versioned snapshot*
+// ({version, boundaries, slots}, a slot being a shard and its optional
+// replication session) behind an atomic pointer, read under an EpochGuard
+// and swapped RCU-style. Split, merge and failover are one transition:
+// retire the affected slots (every Enqueue bounces with kRetired), drain
+// and stop their shards, build the replacement slots plus the edit to the
+// boundary list, and publish the successor snapshot; the old snapshot goes
+// to the global EpochManager so in-flight routers finish safely. A split
+// replaces one slot with two (records migrated through the bulk-load
+// path, stored values preserved) and inserts the median key as a
+// boundary; a merge replaces two with one and erases their boundary; a
+// failover replaces one with one built on the promoted replica store.
+// If a replacement cannot be built, the transition rebuilds each retired
+// slot in place and keeps the boundaries. A request that raced the swap
+// re-routes against the fresh snapshot (a bounded number of times, then
+// completes with kRetry). An optional rebalancer thread watches
+// per-shard queue-depth pressure and triggers splits (and merges of cold
+// adjacent shards) automatically.
 //
 // Replication (ServiceConfig::replication, off by default): every shard
 // gets a shadow replica — a second store + index instance fed by a
 // ReplicationLog tap on the primary's commit path and a shipper thread
-// (replication/replica_session.h). Snapshots carry the per-shard
-// ReplicaSession next to the Shard, so failover reuses the same
-// retire -> publish machinery as split/merge: FailOverShard quiesces the
-// primary, promotes the replica store via the store's crash-recovery
-// path, wraps it in a fresh Shard (with a new shadow replica of its
-// own), and publishes the successor snapshot — in-flight requests bounce
-// off the retired primary and re-route exactly as they do for a split.
-// Replica reads (ReadPolicy::kBounce/kWait) are served inline at routing
-// time when the replica has caught up to the log tail; otherwise the
-// request falls through to the primary. Replica-served reads complete on
-// the *submitting* thread and therefore never record latency (the
-// recorder is single-writer, owned by the executing worker).
+// (replication/replica_session.h). Replica reads (ReadPolicy::kBounce/
+// kWait) are served inline at routing time when the replica has caught up
+// to the log tail; otherwise the request falls through to the primary.
+// Replica-served reads complete on the *submitting* thread and therefore
+// never record latency (the recorder is single-writer, owned by the
+// executing worker).
 #ifndef PIECES_SERVICE_ROUTER_H_
 #define PIECES_SERVICE_ROUTER_H_
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,6 +118,25 @@ struct RebalanceConfig {
   // shatter the partition before the first split's effect is measurable.
   uint64_t cooldown_ms = 50;
 };
+
+// One rebalancer decision: nothing, split shard `shard`, or merge the
+// pair (`shard`, `shard` + 1).
+struct RebalanceAction {
+  enum class Kind : uint8_t { kNone, kSplit, kMerge };
+  Kind kind = Kind::kNone;
+  size_t shard = 0;
+};
+
+// The rebalancer's policy, a pure function of each shard's smoothed queue
+// depth and key count (parallel, in partition order): split the hottest
+// shard (the first, on a tie) once its depth reaches the threshold, unless
+// that would exceed max_shards or it owns fewer than min_split_keys keys;
+// otherwise merge the first adjacent pair that is idle (both depths below
+// a quarter of the threshold) and owns at most merge_max_keys keys.
+RebalanceAction ChooseRebalanceAction(const std::vector<double>& depths,
+                                      const std::vector<size_t>& keys,
+                                      const RebalanceConfig& config,
+                                      size_t queue_capacity);
 
 struct ServiceConfig {
   size_t num_shards = 4;
@@ -209,16 +231,16 @@ class KvService {
   // submissions complete with kShutdown. Idempotent.
   void Shutdown();
 
-  // Fails the primary of shard `shard` over to its replica: retire ->
-  // drain -> (graceful: wait for the replica to catch up) -> promote the
-  // replica store via Recover() -> wrap it in a fresh Shard (with a new
-  // shadow replica seeded from the promoted store) -> publish the
-  // successor snapshot. The old primary's medium is crashed, as if the
-  // machine died. With graceful=false the replica is promoted as-is —
-  // records the shipper had not delivered are lost and counted in the
-  // report (the crash-failover experiment; under AckMode::kReplicated
-  // those writes were never acked). Serialized with split/merge.
-  // Fails (ok=false) when replication is off or the index is invalid.
+  // Fails the primary of shard `shard` over to its replica, as a
+  // transition of one slot into one: (graceful: wait for the replica to
+  // catch up) -> promote the replica store via Recover() -> wrap it in a
+  // fresh Shard with a new shadow replica seeded from it. The old
+  // primary's medium is crashed, as if the machine died. With
+  // graceful=false the replica is promoted as-is — records the shipper had
+  // not delivered are lost and counted in the report (the crash-failover
+  // experiment; under AckMode::kReplicated those writes were never acked).
+  // Fails (ok=false) when replication is off, the index is out of range,
+  // or the service is shutting down.
   FailoverReport FailOverShard(size_t shard, bool graceful);
 
   // Blocks until every shard's replica has applied the commit log tail
@@ -229,13 +251,15 @@ class KvService {
   std::shared_ptr<replication::ReplicaSession> replica_session(
       size_t shard) const;
 
-  // Splits shard `shard` of the current partition at its key median:
-  // retire -> drain -> stop -> migrate into two replacement shards ->
-  // publish the successor snapshot. Serialized with every other
-  // structural operation. Returns false when the split is not feasible
-  // (out of range, too few keys, max_shards reached, or shutting down).
+  // Splits shard `shard` of the current partition at its key median, as a
+  // transition of one slot into two. Returns false when the split is not
+  // feasible (out of range, fewer than two keys, or shutting down) or a
+  // half could not be built (the shard is then rebuilt in place).
+  // RebalanceConfig::max_shards bounds only the rebalancer's splits.
   bool SplitShard(size_t shard);
-  // Inverse: collapses shards `left` and `left + 1` into one.
+  // Inverse, two slots into one: collapses shards `left` and `left + 1`.
+  // False when out of range, shutting down, or the union overflows one
+  // store (both shards are then rebuilt in place, boundary kept).
   bool MergeShards(size_t left);
 
   // Simulated whole-service power failure: every shard quiesces, loses
@@ -263,25 +287,30 @@ class KvService {
  private:
   struct ScanJoin;
 
+  // One shard of a snapshot and its replication session (nullptr when
+  // replication is off); both ride the same snapshot, so a transition
+  // swaps them together.
+  struct Slot {
+    std::shared_ptr<Shard> shard;
+    std::shared_ptr<replication::ReplicaSession> replica;
+  };
+
   // One immutable published routing table. Readers pin it with an
-  // EpochGuard; shards are shared_ptr so a copied reference outlives the
-  // snapshot swap (the retired snapshot drops its references when the
-  // epoch system reclaims it).
+  // EpochGuard and copy the pointers they use, which outlive the snapshot
+  // swap (the retired snapshot drops its references when the epoch system
+  // reclaims it).
   struct Snapshot {
     uint64_t version = 0;
     RangePartition partition = RangePartition(1, {});
-    std::vector<std::shared_ptr<Shard>> shards;
-    // Parallel to `shards`: the shard's replication session, or nullptr
-    // when replication is off. Sessions ride the same RCU snapshot so a
-    // failover can swap shard + session atomically.
-    std::vector<std::shared_ptr<replication::ReplicaSession>> replicas;
+    std::vector<Slot> slots;
   };
 
-  // A shard plus its (optional) replication session — what MakeShard /
-  // BuildShard / AdoptStore produce and snapshots store side by side.
-  struct ShardParts {
-    std::shared_ptr<Shard> shard;
-    std::shared_ptr<replication::ReplicaSession> replica;
+  // What a transition puts in place of the slots it retired: the new
+  // slots and the boundaries between them. No slots means the successor
+  // could not be built.
+  struct Successor {
+    std::vector<Slot> slots;
+    std::vector<Key> boundaries;
   };
 
   // Routes every request in `batch` against the current snapshot and
@@ -293,26 +322,40 @@ class KvService {
   // inline on rejection/shutdown/exhausted budget.
   void DispatchToShard(const std::shared_ptr<Shard>& shard, uint64_t version,
                        std::vector<Request>&& batch, int budget);
+  // What becomes of requests a shard did not accept: kOk means re-route
+  // (the shard retired, the budget allows, and a newer snapshot is live);
+  // anything else is the status to complete them with.
+  RequestStatus Bounce(Shard::EnqueueResult result, uint64_t version,
+                       int budget);
   void FanOutScan(Request req, int budget);
   // Serves a kRead inline from the replica when its watermark allows;
   // true means the request completed (done fired). No latency recording
   // — completion runs on the submitting thread, not the worker.
   bool TryReplicaRead(replication::ReplicaSession& session, Request& req);
-  // Blocks until the published snapshot is newer than `version` (a split
-  // in progress has not yet published). False when shutting down.
+  // Blocks until the published snapshot is newer than `version` (a
+  // transition in progress has not yet published). False when shutting
+  // down.
   bool WaitForNewerSnapshot(uint64_t version);
   // One store instance for shard `id`; replica stores get their own
   // paged file (shard_<id>.replica.pages) under the disk backend.
   std::unique_ptr<StoreBackend> MakeStore(size_t id, bool replica);
-  ShardParts MakeShard(size_t id);
-  // Wraps an existing (promoted) store in a fresh Shard with a new
-  // shadow replica seeded from it; starts both iff the service is
-  // started. Counterpart of MakeShard for the failover path.
-  ShardParts AdoptStore(std::unique_ptr<StoreBackend> store);
-  // Builds a replacement shard owning `keys`, with values copied from the
-  // (quiesced) source shards. Aborts on store overflow -> null parts.
-  ShardParts BuildShard(const std::vector<Key>& keys,
-                        const std::vector<Shard*>& sources, bool start);
+  // The shard factory: wraps `store` (filled or promoted) in Shard `id`.
+  // With replication on it attaches a new shadow replica seeded from the
+  // store's image; both start iff the service has started.
+  Slot MakeSlot(size_t id, std::unique_ptr<StoreBackend> store);
+  // A new slot owning `keys`, with the stored values of the quiesced
+  // `sources`. An empty slot when the records overflow one store.
+  Slot Migrate(const std::vector<Key>& keys, std::span<const Slot> sources);
+  // The one structural transition, serialized under admin_mu_: checks
+  // that slots [first, first + count) exist and pass `admit`, retires,
+  // drains and stops their shards, replaces them with `build`'s successor
+  // (or, if it has no slots, with each one rebuilt in place), stops their
+  // sessions, publishes, and bumps `counter`. False when refused or
+  // rebuilt in place. `outage_ns`, when given, gets retire -> publish.
+  bool Transition(size_t first, size_t count, std::atomic<uint64_t>& counter,
+                  const std::function<bool(const Slot&)>& admit,
+                  const std::function<Successor(std::span<const Slot>)>& build,
+                  uint64_t* outage_ns = nullptr);
   void PublishSnapshot(Snapshot* next);
   void RebalanceLoop();
   static void CompleteInline(Request& req, RequestStatus status);
@@ -323,7 +366,7 @@ class KvService {
   // Current routing table; written only under admin_mu_, read under an
   // EpochGuard. Retired snapshots go through EpochManager::Global().
   std::atomic<Snapshot*> snapshot_{nullptr};
-  // Serializes structural operations (split/merge/crash/shutdown).
+  // Serializes transitions, CrashAndRecover and Shutdown.
   std::mutex admin_mu_;
   // Pairs with snapshot_changed_: kRetired waiters sleep here until a
   // successor snapshot is published (or shutdown).
@@ -335,7 +378,7 @@ class KvService {
   std::thread rebalancer_;
   bool started_ = false;  // under admin_mu_
 
-  size_t next_shard_id_;  // under admin_mu_
+  size_t next_shard_id_ = 0;  // under admin_mu_
   std::atomic<uint64_t> splits_{0};
   std::atomic<uint64_t> merges_{0};
   std::atomic<uint64_t> failovers_{0};

@@ -2,8 +2,8 @@
 // the partition is a versioned RCU snapshot, SplitShard migrates a
 // quiesced shard's records into two replacements, and requests racing the
 // swap re-route (bounded, then kRetry). The ServiceSplitTest /
-// ServiceRebalanceTest / ServiceMultiWriterTest suite names are part of
-// the TSan CI filter.
+// ServiceRebalanceTest / RebalancePolicyTest / ServiceMultiWriterTest
+// suite names are part of the TSan CI filter.
 #include "service/router.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 
 #include "common/random.h"
 #include "common/timer.h"
+#include "store/record_format.h"
 #include "workload/datasets.h"
 
 namespace pieces::service {
@@ -156,6 +157,52 @@ TEST(ServiceSplitTest, MergeCollapsesAdjacentShards) {
   }
 }
 
+TEST(ServiceSplitTest, MergeOverflowRebuildsBothShardsInPlace) {
+  std::vector<Key> keys = MakeUniformKeys(2048, 83);
+  ServiceConfig cfg = SmallConfig(2);
+  // Room for one shard's records (plus its overwrites), but not for the
+  // union: a page holds slots_per_page records of key + value + header.
+  const size_t page_bytes =
+      cfg.store.slots_per_page *
+      (sizeof(Key) + cfg.store.value_size + sizeof(RecordHeader));
+  const size_t shard_pages = keys.size() / 2 / cfg.store.slots_per_page;
+  cfg.store.pmem_capacity = page_bytes * (shard_pages * 3 / 2);
+  KvService svc("BTree", cfg, keys);
+  ASSERT_TRUE(svc.BulkLoad(keys));
+  svc.Start();
+  ASSERT_EQ(svc.num_shards(), 2u);
+
+  std::vector<uint8_t> marked(svc.value_size(), 0xa5);
+  for (size_t i = 0; i < keys.size(); i += 41) {
+    ASSERT_EQ(svc.Put(keys[i], marked.data()), RequestStatus::kOk);
+  }
+  const std::vector<Key> bounds = svc.partition().boundaries();
+  const uint64_t v0 = svc.partition_version();
+
+  EXPECT_FALSE(svc.MergeShards(0));
+  EXPECT_EQ(svc.num_shards(), 2u);
+  EXPECT_EQ(svc.partition().boundaries(), bounds);
+  EXPECT_EQ(svc.Stats().merges, 0u);
+  EXPECT_GT(svc.partition_version(), v0);
+
+  std::vector<uint8_t> buf(svc.value_size());
+  std::vector<uint8_t> want(svc.value_size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(svc.Get(keys[i], buf.data()), RequestStatus::kOk) << keys[i];
+    if (i % 41 == 0) {
+      want = marked;
+    } else {
+      FillSyntheticRecordValue(keys[i], want.data(), want.size());
+    }
+    EXPECT_EQ(buf, want) << "value lost at key " << keys[i];
+  }
+  // The rebuilt shards are live: each accepts a fresh key in its range.
+  EXPECT_EQ(svc.Put(keys.front() + 1), RequestStatus::kOk);
+  EXPECT_EQ(svc.Put(keys.back() + 1), RequestStatus::kOk);
+  EXPECT_EQ(svc.ShardOf(keys.front() + 1), 0u);
+  EXPECT_EQ(svc.ShardOf(keys.back() + 1), 1u);
+}
+
 TEST(ServiceSplitTest, SplitRejectsDegenerateTargets) {
   std::vector<Key> keys = MakeUniformKeys(1024, 53);
   KvService svc("BTree", SmallConfig(2), keys);
@@ -258,6 +305,71 @@ TEST(ServiceRebalanceTest, RebalancerMergesColdShards) {
   std::vector<uint8_t> buf(svc.value_size());
   for (Key k : keys) {
     ASSERT_EQ(svc.Get(k, buf.data()), RequestStatus::kOk) << k;
+  }
+}
+
+// The rebalancer's pure policy, table-tested: no threads, no sleeps.
+struct PolicyCase {
+  const char* name;
+  std::vector<double> depths;
+  std::vector<size_t> keys;
+  RebalanceConfig config;
+  size_t queue_capacity;
+  RebalanceAction::Kind kind;
+  size_t shard;
+};
+
+RebalanceConfig Policy(size_t split_queue_depth, size_t min_split_keys,
+                       size_t max_shards, size_t merge_max_keys) {
+  RebalanceConfig c;
+  c.split_queue_depth = split_queue_depth;
+  c.min_split_keys = min_split_keys;
+  c.max_shards = max_shards;
+  c.merge_max_keys = merge_max_keys;
+  return c;
+}
+
+TEST(RebalancePolicyTest, ChoosesByTable) {
+  using Kind = RebalanceAction::Kind;
+  const std::vector<PolicyCase> cases = {
+      {"hottest above threshold splits", {2, 9, 12, 3},
+       {5000, 5000, 5000, 5000}, Policy(8, 4096, 64, 0), 1024, Kind::kSplit,
+       2},
+      {"first of tied hottest splits", {12, 12}, {5000, 5000},
+       Policy(8, 4096, 64, 0), 1024, Kind::kSplit, 0},
+      {"threshold reached exactly splits", {8}, {5000},
+       Policy(8, 4096, 64, 0), 1024, Kind::kSplit, 0},
+      {"below threshold does not split", {7.9}, {5000},
+       Policy(8, 4096, 64, 0), 1024, Kind::kNone, 0},
+      {"under min_split_keys does not split", {2, 12}, {5000, 4095},
+       Policy(8, 4096, 64, 0), 1024, Kind::kNone, 0},
+      {"nothing splits at max_shards", {12, 12}, {5000, 5000},
+       Policy(8, 4096, 2, 0), 1024, Kind::kNone, 0},
+      {"first cold pair within merge_max_keys merges", {0, 5, 0, 1, 0},
+       {100, 100, 300, 200, 50}, Policy(8, 4096, 64, 500), 1024, Kind::kMerge,
+       2},
+      {"pair over merge_max_keys does not merge", {0, 0}, {300, 201},
+       Policy(8, 4096, 64, 500), 1024, Kind::kNone, 0},
+      {"merge_max_keys = 0 disables merging", {0, 0}, {1, 1},
+       Policy(8, 4096, 64, 0), 1024, Kind::kNone, 0},
+      {"a single shard never merges", {0}, {1}, Policy(8, 4096, 64, 500), 1024,
+       Kind::kNone, 0},
+      {"split_queue_depth = 0 splits at 3/4 of capacity", {300}, {5000},
+       Policy(0, 4096, 64, 0), 400, Kind::kSplit, 0},
+      {"split_queue_depth = 0 holds below 3/4 of capacity", {299}, {5000},
+       Policy(0, 4096, 64, 0), 400, Kind::kNone, 0},
+      {"split_queue_depth = 0 idles below 3/16 of capacity", {74, 74},
+       {1, 1}, Policy(0, 4096, 64, 10), 400, Kind::kMerge, 0},
+      {"split_queue_depth = 0 is busy at 3/16 of capacity", {75, 74},
+       {1, 1}, Policy(0, 4096, 64, 10), 400, Kind::kNone, 0},
+  };
+  for (const PolicyCase& c : cases) {
+    const RebalanceAction got =
+        ChooseRebalanceAction(c.depths, c.keys, c.config, c.queue_capacity);
+    EXPECT_EQ(got.kind, c.kind) << c.name;
+    if (c.kind != Kind::kNone) {
+      EXPECT_EQ(got.shard, c.shard) << c.name;
+    }
   }
 }
 

@@ -172,6 +172,98 @@ TEST_P(ReplicaDivergenceTest, PrimaryAndReplicaAgreeByteForByte) {
   service.Shutdown();
 }
 
+// The scan and get transcript check of the test above, as a step check:
+// quiesce, then every shard's replica must hold exactly its primary's
+// image, and both must hold `model`.
+void ExpectReplicasMatch(KvService& service,
+                         const std::map<Key, std::vector<uint8_t>>& model) {
+  service.Drain();
+  ASSERT_TRUE(service.WaitReplicasCaughtUp());
+  std::vector<Key> primary_scan;
+  ASSERT_EQ(service.Scan(0, model.size() + 10, &primary_scan),
+            RequestStatus::kOk);
+  ASSERT_EQ(primary_scan.size(), model.size());
+  std::vector<Key> replica_scan;
+  for (size_t s = 0; s < service.num_shards(); ++s) {
+    auto session = service.replica_session(s);
+    ASSERT_NE(session, nullptr) << "shard " << s;
+    const StoreBackend* rstore = session->replica()->store();
+    ASSERT_NE(rstore, nullptr) << "shard " << s;
+    rstore->Scan(0, rstore->size(), &replica_scan);
+  }
+  EXPECT_EQ(replica_scan, primary_scan);
+  std::vector<uint8_t> via_service(kValueSize);
+  std::vector<uint8_t> via_replica(kValueSize);
+  for (const auto& [key, want] : model) {
+    ASSERT_EQ(service.Get(key, via_service.data()), RequestStatus::kOk)
+        << "key " << key;
+    EXPECT_EQ(std::memcmp(via_service.data(), want.data(), kValueSize), 0)
+        << "primary diverged from model at key " << key;
+    auto session = service.replica_session(service.ShardOf(key));
+    ASSERT_NE(session, nullptr);
+    bool gone = false;
+    ASSERT_TRUE(session->replica()->Get(key, via_replica.data(), &gone))
+        << "replica missing key " << key;
+    ASSERT_FALSE(gone);
+    EXPECT_EQ(std::memcmp(via_replica.data(), want.data(), kValueSize), 0)
+        << "replica diverged from primary at key " << key;
+  }
+}
+
+// Every structural transition with replication on: split shard 0, merge
+// the pair back, fail shard 0 over gracefully — writes between steps, and
+// the primary/replica transcripts must agree after each one.
+TEST_P(ReplicaDivergenceTest, EveryTransitionKeepsReplicasInStep) {
+  const DivergenceCase& param = GetParam();
+  ServiceConfig cfg = BaseConfig(
+      param.backend, ("steps_" + param.index + "_" + param.backend).c_str());
+  const std::vector<Key> load = LoadKeys(512);
+  KvService service(param.index, cfg, load);
+  ASSERT_TRUE(service.BulkLoad(load));
+  service.Start();
+
+  std::map<Key, std::vector<uint8_t>> model;
+  for (Key k : load) {
+    std::vector<uint8_t> v(kValueSize);
+    FillSyntheticRecordValue(k, v.data(), v.size());
+    model[k] = std::move(v);
+  }
+  std::mt19937_64 rng(0x57e95ull);
+  uint64_t tag = 0;
+  auto write_some = [&] {
+    for (size_t i = 0; i < 100; ++i, ++tag) {
+      const Key key = (i % 3 != 0) ? load[rng() % load.size()]
+                                   : Key{200'000 + (rng() % 4096)};
+      std::vector<uint8_t> value = TaggedValue(tag);
+      ASSERT_EQ(service.Put(key, value.data()), RequestStatus::kOk) << tag;
+      model[key] = std::move(value);
+    }
+  };
+
+  ASSERT_NO_FATAL_FAILURE(write_some());
+  ASSERT_TRUE(service.SplitShard(0));
+  ASSERT_EQ(service.num_shards(), 3u);
+  ASSERT_NO_FATAL_FAILURE(ExpectReplicasMatch(service, model));
+
+  ASSERT_NO_FATAL_FAILURE(write_some());
+  ASSERT_TRUE(service.MergeShards(0));
+  ASSERT_EQ(service.num_shards(), 2u);
+  ASSERT_NO_FATAL_FAILURE(ExpectReplicasMatch(service, model));
+
+  ASSERT_NO_FATAL_FAILURE(write_some());
+  FailoverReport report = service.FailOverShard(0, /*graceful=*/true);
+  ASSERT_TRUE(report.ok);
+  EXPECT_EQ(report.lost_records, 0u);
+  ASSERT_NO_FATAL_FAILURE(write_some());
+  ASSERT_NO_FATAL_FAILURE(ExpectReplicasMatch(service, model));
+
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.splits, 1u);
+  EXPECT_EQ(stats.merges, 1u);
+  EXPECT_EQ(stats.failovers, 1u);
+  service.Shutdown();
+}
+
 std::string DivergenceName(
     const ::testing::TestParamInfo<DivergenceCase>& info) {
   std::string n = info.param.index + "_" + info.param.backend;
