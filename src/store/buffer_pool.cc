@@ -172,7 +172,7 @@ uint8_t* BufferPool::PinSpan(uint32_t page, uint32_t ra_lo, uint32_t ra_hi,
     if (reset_raced) {
       // The pool was dropped under us (crash + recovery). Mirror the
       // synchronous path's contract: serving is refused while crashed.
-      if (store_->crashed()) throw SimulatedCrash{};
+      if (store_->fault().crashed()) throw SimulatedCrash{};
       continue;
     }
     if (!ok) {
@@ -180,7 +180,7 @@ uint8_t* BufferPool::PinSpan(uint32_t page, uint32_t ra_lo, uint32_t ra_hi,
       *status = PinStatus::kIoError;
       return nullptr;
     }
-    if (store_->crashed()) {
+    if (store_->fault().crashed()) {
       // The fetch raced a power failure; the bytes may be mid-rollback.
       if (f.pins > 0) f.pins--;
       throw SimulatedCrash{};

@@ -77,13 +77,18 @@ void DiskStore::WriteBytes(uint8_t* dst, const void* src, size_t n) {
   std::memcpy(dst, src, n);
 }
 
-void DiskStore::Barrier(std::span<const SlotRun> runs, size_t /*offset*/,
-                        size_t /*n*/) {
+void DiskStore::Barrier(std::span<const SlotRun> runs, size_t offset,
+                        size_t n) {
+  std::vector<PageStore::Extent> declared;
   uint32_t last = PageStore::kInvalidPage;
   for (const SlotRun& run : runs) {
-    if (run.page == last) continue;  // runs cluster in the tail page
-    pool_.WriteBack(run.page);
-    last = run.page;
+    if (run.page != last) {  // runs cluster in the tail page
+      pool_.WriteBack(run.page);
+      last = run.page;
+    }
+    for (uint32_t s = run.first; s < run.first + run.count; ++s) {
+      declared.push_back({run.page, SlotOffset(s) + offset, n});
+    }
   }
   // The caller's lock stays logically held: re-take write_mu_ on the way
   // out, also when the fsync throws SimulatedCrash.
@@ -92,7 +97,7 @@ void DiskStore::Barrier(std::span<const SlotRun> runs, size_t /*offset*/,
     std::mutex& mu;
     ~Relock() { mu.lock(); }
   } relock{write_mu_};
-  pages_.Sync();
+  pages_.Sync(declared);
 }
 
 uint8_t* DiskStore::PinWait(uint32_t page) const {
@@ -353,7 +358,7 @@ size_t DiskStore::ReopenForRecovery() {
   // Power back on (no-op after a clean shutdown), and drop every cached
   // frame: the crash rolled the file back under the pool, and a crash may
   // have unwound a writer mid-pin.
-  pages_.ClearCrash();
+  pages_.fault().ClearCrash();
   pool_.Reset();
   std::lock_guard<std::mutex> lock(write_mu_);
   // Never resume filling a possibly-torn tail page.

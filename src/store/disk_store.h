@@ -10,9 +10,9 @@
 // The record layout, commit protocol, bulk load and recovery are the
 // record core's (store/record_core.h). This store supplies the medium:
 // slots in pinned buffer-pool frames, and as the barrier a write-back of
-// the run's distinct pages plus one fsync (PageStore::Sync) — two per
-// put, one per page in bulk load. Recovery reads pages straight off the
-// file, bypassing the pool.
+// the run's distinct pages plus one fsync (PageStore::Sync) declaring
+// the runs' record bytes — two per put, one per page in bulk load.
+// Recovery reads pages straight off the file, bypassing the pool.
 //
 // Batched reads group by page: GetBatch resolves handles through the
 // index's batch path, then sorts the hits by page id so a batch charges
@@ -101,7 +101,7 @@ class DiskStore : public RecordCore {
   std::string_view BackendName() const override { return "disk"; }
   StoreIoStats IoStats() const override;
 
-  // Crash-injection hook for the fsync-barrier sweep tests.
+  FaultDevice& fault() override { return pages_.fault(); }
   PageStore& mutable_pages() { return pages_; }
   const PageStore& pages() const { return pages_; }
   const BufferPool& pool() const { return pool_; }
@@ -120,9 +120,7 @@ class DiskStore : public RecordCore {
   // clamped to the file and capped at readahead_max_pages.
   void ReadaheadSpan(Key key, uint32_t target, uint32_t* ra_lo,
                      uint32_t* ra_hi) const;
-  void CheckPowered() const {
-    if (pages_.crashed()) throw SimulatedCrash{};
-  }
+  void CheckPowered() const { pages_.fault().CheckPowered(); }
 
   // Drains up to group_commit_ops queued puts and commits them as one
   // run. Called with write_mu_ held (leader_active_ already true);
@@ -137,9 +135,10 @@ class DiskStore : public RecordCore {
     pool_.Unpin(run.page, /*dirty=*/false);
   }
   void WriteBytes(uint8_t* dst, const void* src, size_t n) override;
-  // Writes the runs' distinct pages back, then one fsync with write_mu_
-  // released — enqueuers mutate the same frames under write_mu_, so the
-  // write-back never races a member's memcpy.
+  // Writes the runs' distinct pages back, then one fsync declaring the
+  // runs' record bytes, with write_mu_ released — enqueuers mutate the
+  // same frames under write_mu_, so the write-back never races a
+  // member's memcpy.
   void Barrier(std::span<const SlotRun> runs, size_t offset,
                size_t n) override;
   size_t ReopenForRecovery() override;

@@ -3,12 +3,27 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
 namespace pieces {
+
+namespace {
+
+// Reads `n` bytes at `off`; sparse/short tails read as zeros, like
+// never-written PMem.
+void PreadOrZero(int fd, off_t off, uint8_t* out, size_t n) {
+  ssize_t got = ::pread(fd, out, n, off);
+  if (got < 0) got = 0;
+  if (static_cast<size_t>(got) < n) {
+    std::memset(out + got, 0, n - static_cast<size_t>(got));
+  }
+}
+
+}  // namespace
 
 PageStore::PageStore(std::string path, const Options& opts)
     : opts_(opts), path_(std::move(path)) {
@@ -27,7 +42,7 @@ PageStore::~PageStore() {
 }
 
 uint32_t PageStore::AllocatePage() {
-  CheckPowered();
+  fault_.CheckPowered();
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = num_pages_.load(std::memory_order_relaxed);
   if (n >= opts_.max_pages) return kInvalidPage;
@@ -41,16 +56,11 @@ uint32_t PageStore::AllocatePage() {
 }
 
 void PageStore::ReadPage(uint32_t page, uint8_t* out) const {
-  CheckPowered();
+  fault_.CheckPowered();
   const off_t off = static_cast<off_t>(page) *
                     static_cast<off_t>(opts_.page_size);
   std::lock_guard<std::mutex> lock(mu_);
-  ssize_t got = ::pread(fd_, out, opts_.page_size, off);
-  if (got < 0) got = 0;
-  // Sparse/short tails read as zeros, like never-written PMem.
-  if (static_cast<size_t>(got) < opts_.page_size) {
-    std::memset(out + got, 0, opts_.page_size - static_cast<size_t>(got));
-  }
+  PreadOrZero(fd_, off, out, opts_.page_size);
   pages_read_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -67,7 +77,7 @@ void PageStore::PwriteOrDie(uint32_t page, const uint8_t* data) {
 }
 
 void PageStore::WritePage(uint32_t page, const uint8_t* data) {
-  CheckPowered();
+  fault_.CheckPowered();
   std::lock_guard<std::mutex> lock(mu_);
   // First write to this page since the last barrier: capture its durable
   // image (the file content is durable here — everything pending is in
@@ -76,12 +86,7 @@ void PageStore::WritePage(uint32_t page, const uint8_t* data) {
     std::vector<uint8_t> durable(opts_.page_size);
     const off_t off = static_cast<off_t>(page) *
                       static_cast<off_t>(opts_.page_size);
-    ssize_t got = ::pread(fd_, durable.data(), opts_.page_size, off);
-    if (got < 0) got = 0;
-    if (static_cast<size_t>(got) < opts_.page_size) {
-      std::memset(durable.data() + got, 0,
-                  opts_.page_size - static_cast<size_t>(got));
-    }
+    PreadOrZero(fd_, off, durable.data(), opts_.page_size);
     shadow_.emplace(page, std::move(durable));
     pending_order_.push_back(page);
   }
@@ -89,62 +94,53 @@ void PageStore::WritePage(uint32_t page, const uint8_t* data) {
   pages_written_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void PageStore::FailAfterSyncs(uint64_t n, int64_t tear_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tear_bytes_ = tear_bytes;
-  syncs_until_crash_.store(static_cast<int64_t>(n),
-                           std::memory_order_relaxed);
-}
-
 void PageStore::RestorePendingLocked() {
   for (uint32_t page : pending_order_) {
-    auto it = shadow_.find(page);
-    if (it != shadow_.end()) PwriteOrDie(page, it->second.data());
+    PwriteOrDie(page, shadow_[page].data());
   }
   pending_order_.clear();
   shadow_.clear();
 }
 
-void PageStore::Sync() {
-  CheckPowered();
+void PageStore::Sync(std::span<const Extent> declared) {
+  fault_.CheckPowered();
   std::lock_guard<std::mutex> lock(mu_);
+  SyncLocked(declared);
+}
+
+void PageStore::Sync() {
+  fault_.CheckPowered();
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<Extent> whole;
+  whole.reserve(pending_order_.size());
+  for (uint32_t page : pending_order_) {
+    whole.push_back({page, 0, opts_.page_size});
+  }
+  SyncLocked(whole);
+}
+
+void PageStore::SyncLocked(std::span<const Extent> declared) {
   syncs_.fetch_add(1, std::memory_order_relaxed);
-  if (syncs_until_crash_.load(std::memory_order_relaxed) > 0 &&
-      syncs_until_crash_.fetch_sub(1, std::memory_order_relaxed) == 1) {
-    // The armed barrier fails mid-flush: pending page writes commit in
-    // first-write order until the torn budget runs out; the boundary page
-    // keeps a strict prefix of its new bytes, everything later rolls
-    // back. Then power is lost.
-    int64_t budget = tear_bytes_ == kNoTear ? 0 : tear_bytes_;
-    for (uint32_t page : pending_order_) {
-      auto it = shadow_.find(page);
+  size_t bytes = 0;
+  for (const Extent& e : declared) bytes += e.length;
+  size_t survive;
+  if (fault_.FailsBarrier(bytes, &survive)) {
+    // The armed barrier fails mid-flush: the surviving prefix of the
+    // declared bytes lands on the durable images, then every pending page
+    // rolls back to its image. A declared page with no pending write is
+    // durable already.
+    for (const Extent& e : declared) {
+      if (survive == 0) break;
+      const size_t n = std::min(survive, e.length);
+      survive -= n;
+      auto it = shadow_.find(e.page);
       if (it == shadow_.end()) continue;
-      const int64_t psize = static_cast<int64_t>(opts_.page_size);
-      if (budget >= psize) {
-        // Whole page durable: keep the new content on disk.
-        budget -= psize;
-      } else if (budget > 0) {
-        // Torn: first `budget` new bytes survive, the rest roll back.
-        std::vector<uint8_t> merged(opts_.page_size);
-        const off_t off = static_cast<off_t>(page) * psize;
-        ssize_t got = ::pread(fd_, merged.data(), opts_.page_size, off);
-        if (got < 0) got = 0;
-        if (static_cast<size_t>(got) < opts_.page_size) {
-          std::memset(merged.data() + got, 0,
-                      opts_.page_size - static_cast<size_t>(got));
-        }
-        std::memcpy(merged.data() + budget, it->second.data() + budget,
-                    opts_.page_size - static_cast<size_t>(budget));
-        PwriteOrDie(page, merged.data());
-        budget = 0;
-      } else {
-        PwriteOrDie(page, it->second.data());
-      }
+      const off_t off = static_cast<off_t>(e.page) *
+                            static_cast<off_t>(opts_.page_size) +
+                        static_cast<off_t>(e.offset);
+      PreadOrZero(fd_, off, it->second.data() + e.offset, n);
     }
-    pending_order_.clear();
-    shadow_.clear();
-    crashed_.store(true, std::memory_order_relaxed);
-    crash_count_.fetch_add(1, std::memory_order_relaxed);
+    RestorePendingLocked();
     throw SimulatedCrash{};
   }
   const uint64_t delay = sync_delay_us_.load(std::memory_order_relaxed);
@@ -159,9 +155,8 @@ void PageStore::Sync() {
 
 void PageStore::Crash() {
   std::lock_guard<std::mutex> lock(mu_);
+  fault_.CutPower();
   RestorePendingLocked();
-  crashed_.store(true, std::memory_order_relaxed);
-  crash_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace pieces

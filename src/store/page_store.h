@@ -1,26 +1,19 @@
 // PageStore: fixed-size pages in a regular file (pread/pwrite), the
-// block-device tier under DiskStore. Durability follows the same contract
-// SimulatedPmem enforces for byte-addressable media, translated to files:
-// a WritePage lands in the OS page cache and is *not* durable until a
-// Sync() barrier (fdatasync) covers it. The crash machinery mirrors
-// crash_controller.h so the PR 5 fault-injection methodology carries over
-// unchanged to the disk tier:
+// block-device tier under DiskStore. Durability follows the contract of
+// fault_device.h, translated to files: a WritePage lands in the OS page
+// cache and is *not* durable until a Sync() barrier (fdatasync) covers
+// it. Every page dirtied since the last barrier keeps a shadow of its
+// durable (pre-write) image; a power cut — Crash(), or the armed barrier
+// of fault() firing — rolls those pages back, dropping written-but-
+// unsynced bytes the way a power failure drops the OS page cache.
 //
-//  * every page dirtied since the last barrier keeps a shadow of its
-//    durable (pre-write) image; Crash() rolls those pages back, dropping
-//    written-but-unsynced bytes exactly the way a power failure drops the
-//    contents of the OS page cache;
-//  * FailAfterSyncs(n, tear_bytes) arms the Nth barrier to fail
-//    *mid-flush*: pending page writes commit in first-write order until
-//    `tear_bytes` are consumed (a page may commit a strict prefix — a
-//    torn write), the rest roll back, and the store throws SimulatedCrash
-//    and refuses access until ClearCrash() (recovery calls it first).
-//
-// What is deliberately NOT modelled: filesystem metadata loss (the file's
-// length survives a crash — recovery may derive the page count from it
-// but must not trust any unsynced page *content*) and sector-granularity
-// reordering below one WritePage (a torn page commits a prefix, not an
-// arbitrary subset of sectors).
+// A barrier declares the bytes it makes durable: Sync(extents) names
+// byte ranges (DiskStore passes the record bytes the record core
+// barriers), a bare Sync() declares every pending page whole, in
+// first-write order. A torn barrier commits the surviving prefix of the
+// declared bytes onto the durable images; everything else pending rolls
+// back. What is not modelled is listed in fault_device.h (the file's
+// length survives a crash, like a PMem arena's extent).
 #ifndef PIECES_STORE_PAGE_STORE_H_
 #define PIECES_STORE_PAGE_STORE_H_
 
@@ -28,18 +21,25 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "store/crash_controller.h"  // SimulatedCrash, kNoTear sentinel
+#include "store/fault_device.h"
 
 namespace pieces {
 
 class PageStore {
  public:
-  static constexpr int64_t kNoTear = CrashController::kNoTear;
   static constexpr uint32_t kInvalidPage = 0xffffffffu;
+
+  // Bytes [offset, offset + length) of `page`, declared by a barrier.
+  struct Extent {
+    uint32_t page = 0;
+    size_t offset = 0;
+    size_t length = 0;
+  };
 
   struct Options {
     size_t page_size = 4096;
@@ -77,27 +77,19 @@ class PageStore {
   void WritePage(uint32_t page, const uint8_t* data);
 
   // Durability barrier (fdatasync): every write since the previous
-  // barrier becomes durable. Counted; fires the armed crash point.
+  // barrier becomes durable. Counted; the armed barrier of fault() fails
+  // with a prefix of `declared` committed.
+  void Sync(std::span<const Extent> declared);
+  // A barrier declaring every pending page whole, in first-write order.
   void Sync();
-
-  // ---- Crash-injection programming interface (tests/benches) --------
-
-  // Arms a deterministic crash point: the Nth subsequent Sync (n >= 1)
-  // fails. With tear_bytes == kNoTear the barrier commits nothing; with
-  // tear_bytes >= 0, pending page writes commit in first-write order
-  // until exactly that many bytes are durable (the boundary page commits
-  // a strict prefix — a torn write). Arming replaces any previous point.
-  void FailAfterSyncs(uint64_t n, int64_t tear_bytes = kNoTear);
-  void Disarm() { syncs_until_crash_.store(0, std::memory_order_relaxed); }
-  bool armed() const { return syncs_until_crash_.load() > 0; }
 
   // Quiescent-point power failure: every written-but-unsynced page rolls
   // back to its durable image and the device refuses access until
-  // ClearCrash().
+  // fault().ClearCrash().
   void Crash();
-  void ClearCrash() { crashed_.store(false, std::memory_order_relaxed); }
-  bool crashed() const { return crashed_.load(std::memory_order_relaxed); }
-  uint64_t crash_count() const { return crash_count_.load(); }
+
+  FaultDevice& fault() { return fault_; }
+  const FaultDevice& fault() const { return fault_; }
 
   size_t page_size() const { return opts_.page_size; }
   size_t num_pages() const {
@@ -124,9 +116,7 @@ class PageStore {
   uint64_t syncs() const { return syncs_.load(); }
 
  private:
-  void CheckPowered() const {
-    if (crashed()) throw SimulatedCrash{};
-  }
+  void SyncLocked(std::span<const Extent> declared);
   // Rolls every pending page back to its shadow. Caller holds mu_.
   void RestorePendingLocked();
   void PwriteOrDie(uint32_t page, const uint8_t* data);
@@ -144,12 +134,8 @@ class PageStore {
   std::vector<uint32_t> pending_order_;
   std::unordered_map<uint32_t, std::vector<uint8_t>> shadow_;
 
-  // Remaining barriers until the armed crash; <= 0 means disarmed.
-  std::atomic<int64_t> syncs_until_crash_{0};
+  FaultDevice fault_;
   std::atomic<uint64_t> sync_delay_us_{0};
-  int64_t tear_bytes_ = kNoTear;
-  std::atomic<bool> crashed_{false};
-  std::atomic<uint64_t> crash_count_{0};
 
   mutable std::atomic<uint64_t> pages_read_{0};
   std::atomic<uint64_t> pages_written_{0};

@@ -5,7 +5,7 @@
 
 #include "common/checksum.h"
 #include "common/timer.h"
-#include "store/crash_controller.h"
+#include "store/fault_device.h"
 
 namespace pieces {
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "index/ordered_index.h"
+#include "store/fault_device.h"
 #include "store/record_format.h"
 #include "store/store_backend.h"
 
@@ -56,6 +57,9 @@ class RecordCore : public StoreBackend {
     return size_.load(std::memory_order_relaxed);
   }
   size_t value_size() const override { return value_size_; }
+  // The medium's power switch: tests arm crash points and tears here
+  // the same way on either medium (store/fault_device.h).
+  virtual FaultDevice& fault() = 0;
   size_t slots_per_page() const { return slots_per_page_; }
   // Bytes of one record slot: key + value + commit header.
   size_t record_bytes() const { return PayloadBytes() + sizeof(RecordHeader); }
@@ -115,7 +119,9 @@ class RecordCore : public StoreBackend {
   virtual void ReleaseRun(const SlotRun& /*run*/) {}
   // Writes `n` bytes at `dst`, an address inside a claimed slot.
   virtual void WriteBytes(uint8_t* dst, const void* src, size_t n) = 0;
-  // Makes bytes [offset, offset + n) of every slot of `runs` durable.
+  // Makes bytes [offset, offset + n) of every slot of `runs` durable;
+  // these declared bytes, in run order, are what a torn barrier's
+  // tear_bytes count (store/fault_device.h).
   virtual void Barrier(std::span<const SlotRun> runs, size_t offset,
                        size_t n) = 0;
   // Powers the medium back on for recovery and forgets volatile state

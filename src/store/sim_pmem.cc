@@ -1,5 +1,6 @@
 #include "store/sim_pmem.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,18 +18,21 @@ SimulatedPmem::SimulatedPmem(size_t capacity, uint64_t read_latency_ns,
       // invalid (all-zero) commit headers, and lazily committed so large
       // arenas stay cheap until touched.
       arena_(static_cast<uint8_t*>(std::calloc(capacity, 1))),
-      crash_(capacity) {
-  if (arena_ == nullptr) {
+      durable_(static_cast<uint8_t*>(std::calloc(capacity, 1))) {
+  if (arena_ == nullptr || durable_ == nullptr) {
     std::fprintf(stderr, "SimulatedPmem: cannot allocate %zu-byte arena\n",
                  capacity);
     std::abort();
   }
 }
 
-SimulatedPmem::~SimulatedPmem() { std::free(arena_); }
+SimulatedPmem::~SimulatedPmem() {
+  std::free(arena_);
+  std::free(durable_);
+}
 
 uint8_t* SimulatedPmem::Allocate(size_t bytes) {
-  crash_.CheckPowered();
+  fault_.CheckPowered();
   size_t aligned = (bytes + 7) & ~size_t{7};
   size_t offset = used_.fetch_add(aligned, std::memory_order_relaxed);
   if (offset + aligned > capacity_) {
@@ -48,7 +52,7 @@ void SimulatedPmem::Charge(uint64_t ns) const {
 
 void SimulatedPmem::Read(const uint8_t* pmem_src, void* dst,
                          size_t bytes) const {
-  crash_.CheckPowered();
+  fault_.CheckPowered();
   Charge(read_latency_ns_);
   std::memcpy(dst, pmem_src, bytes);
   bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
@@ -58,7 +62,7 @@ void SimulatedPmem::ReadBatch(const uint8_t* const* pmem_srcs,
                               uint8_t* const* dsts, size_t bytes_each,
                               size_t n) const {
   if (n == 0) return;
-  crash_.CheckPowered();
+  fault_.CheckPowered();
   Charge(read_latency_ns_);
   for (size_t i = 0; i < n; ++i) {
     std::memcpy(dsts[i], pmem_srcs[i], bytes_each);
@@ -67,14 +71,14 @@ void SimulatedPmem::ReadBatch(const uint8_t* const* pmem_srcs,
 }
 
 void SimulatedPmem::Write(uint8_t* pmem_dst, const void* src, size_t bytes) {
-  crash_.CheckPowered();
+  fault_.CheckPowered();
   Charge(write_latency_ns_);
   std::memcpy(pmem_dst, src, bytes);
   bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void SimulatedPmem::Persist(const uint8_t* pmem_addr, size_t bytes) {
-  crash_.CheckPowered();
+  fault_.CheckPowered();
   Charge(write_latency_ns_);
   persist_count_.fetch_add(1, std::memory_order_relaxed);
   size_t used = used_.load(std::memory_order_relaxed);
@@ -86,7 +90,26 @@ void SimulatedPmem::Persist(const uint8_t* pmem_addr, size_t bytes) {
   } else {
     offset = static_cast<size_t>(pmem_addr - arena_);
   }
-  crash_.Persisted(arena_, offset, bytes, used);
+  if (offset >= capacity_) return;
+  bytes = std::min(bytes, capacity_ - offset);
+  size_t survive;
+  if (fault_.FailsBarrier(bytes, &survive)) {
+    // The armed barrier fails mid-flush: only the torn prefix (possibly
+    // empty) reaches the durable image, then power is lost.
+    std::memcpy(durable_ + offset, arena_ + offset, survive);
+    RestoreDurable();
+    throw SimulatedCrash{};
+  }
+  std::memcpy(durable_ + offset, arena_ + offset, bytes);
+}
+
+void SimulatedPmem::Crash() {
+  fault_.CutPower();
+  RestoreDurable();
+}
+
+void SimulatedPmem::RestoreDurable() {
+  std::memcpy(arena_, durable_, std::min(used(), capacity_));
 }
 
 }  // namespace pieces

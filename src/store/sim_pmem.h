@@ -6,12 +6,14 @@
 // uniformly. With latencies at 0 (default) it behaves as plain DRAM,
 // which keeps unit tests fast.
 //
-// Persistence is a contract, not bookkeeping: written bytes become
-// durable only when a Persist() barrier covers them (the CrashController
-// shadows the arena with a durable image). crash().Crash() — or an armed
-// crash point firing — rolls the arena back to that image, so recovery
-// code can only ever see what it actually persisted. See
-// crash_controller.h for what the simulation does and does not model.
+// Persistence is a contract, not bookkeeping: the arena is shadowed by a
+// durable image that receives bytes only at Persist() barriers. Crash()
+// — or an armed crash point of fault() firing — rolls the arena back to
+// that image, dropping every written-but-unpersisted byte the way a
+// power failure drops the CPU caches and the in-flight WPQ entries of a
+// real PMem DIMM. A torn persist commits a prefix of its range (a real
+// 256-byte PMem write is failure-atomic only in 8-byte units). See
+// fault_device.h for what the simulation does and does not model.
 #ifndef PIECES_STORE_SIM_PMEM_H_
 #define PIECES_STORE_SIM_PMEM_H_
 
@@ -20,7 +22,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "store/crash_controller.h"
+#include "store/fault_device.h"
 
 namespace pieces {
 
@@ -56,12 +58,12 @@ class SimulatedPmem {
   void Persist(const uint8_t* pmem_addr, size_t bytes);
 
   // Quiescent-point power failure: every written-but-unpersisted byte is
-  // discarded. The device then refuses accesses until crash().ClearCrash()
+  // discarded. The device then refuses accesses until fault().ClearCrash()
   // (recovery code calls it first).
-  void Crash() { crash_.Crash(arena_, used_.load(std::memory_order_relaxed)); }
+  void Crash();
 
-  CrashController& crash() { return crash_; }
-  const CrashController& crash() const { return crash_; }
+  FaultDevice& fault() { return fault_; }
+  const FaultDevice& fault() const { return fault_; }
 
   // Address of a byte offset inside the arena — recovery code re-derives
   // page addresses from durable state (offsets) instead of trusting a
@@ -76,6 +78,8 @@ class SimulatedPmem {
 
  private:
   void Charge(uint64_t ns) const;
+  // Rolls the arena back to the durable image.
+  void RestoreDurable();
 
   size_t capacity_;
   uint64_t read_latency_ns_;
@@ -85,7 +89,8 @@ class SimulatedPmem {
   mutable std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> persist_count_{0};
-  mutable CrashController crash_;
+  uint8_t* durable_;  // calloc'd: zero until persisted, lazily committed
+  FaultDevice fault_;
 };
 
 }  // namespace pieces

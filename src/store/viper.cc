@@ -46,12 +46,12 @@ void ViperStore::Barrier(std::span<const SlotRun> runs, size_t offset,
 
 size_t ViperStore::ReopenForRecovery() {
   // Power back on (no-op after a clean shutdown).
-  pmem_.crash().ClearCrash();
+  pmem_.fault().ClearCrash();
   std::lock_guard<std::mutex> lock(pages_mutex_);
   // Re-derive the page directory from the durable arena extent: every
   // allocation is exactly one page, so the directory is implied by the
   // allocator offset (which survives a crash the way a file size does —
-  // see crash_controller.h).
+  // see fault_device.h).
   const size_t num_pages = pmem_.used() / PageBytes();
   pages_.clear();
   for (size_t p = 0; p < num_pages; ++p) {

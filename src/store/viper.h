@@ -62,6 +62,7 @@ class ViperStore : public RecordCore {
   // again (any access in between throws SimulatedCrash).
   void Crash() override { pmem_.Crash(); }
 
+  FaultDevice& fault() override { return pmem_.fault(); }
   const SimulatedPmem& pmem() const { return pmem_; }
   SimulatedPmem& mutable_pmem() { return pmem_; }
   std::string_view BackendName() const override { return "viper"; }

@@ -1,5 +1,7 @@
 // PageStore + BufferPool unit tests: file-backed page durability semantics
-// (sync barriers, quiescent crash rollback, torn-write prefixes) and the
+// (sync barriers, quiescent crash rollback, torn prefixes of a barrier's
+// declared bytes; the device semantics themselves are pinned on both
+// media by FaultDeviceCrashTest in store_fault_test.cc) and the
 // CLOCK pool's pin/evict/writeback contract, including a multi-threaded
 // pin/evict stress.
 #include "store/buffer_pool.h"
@@ -86,11 +88,11 @@ TEST(PageStoreTest, CrashRollsBackUnsyncedWrites) {
   std::vector<uint8_t> volat = Stamp(512, 0x22);
   store.WritePage(p, volat.data());
   store.Crash();  // unsynced write must vanish
-  EXPECT_TRUE(store.crashed());
+  EXPECT_TRUE(store.fault().crashed());
   EXPECT_THROW(store.Sync(), SimulatedCrash);
   std::vector<uint8_t> probe(512);
   EXPECT_THROW(store.ReadPage(p, probe.data()), SimulatedCrash);
-  store.ClearCrash();
+  store.fault().ClearCrash();
   store.ReadPage(p, probe.data());
   EXPECT_EQ(probe, durable);
 }
@@ -103,7 +105,7 @@ TEST(PageStoreTest, SyncMakesWritesSurviveCrash) {
   store.WritePage(p, data.data());
   store.Sync();
   store.Crash();
-  store.ClearCrash();
+  store.fault().ClearCrash();
   std::vector<uint8_t> probe(512);
   store.ReadPage(p, probe.data());
   EXPECT_EQ(probe, data);
@@ -117,13 +119,14 @@ TEST(PageStoreTest, ArmedSyncTearsPrefixAndThrows) {
   store.WritePage(p, durable.data());
   store.Sync();
   const int64_t tear = 100;
-  store.FailAfterSyncs(1, tear);
+  store.fault().FailAfterBarriers(1, tear);
   std::vector<uint8_t> fresh = Stamp(512, 0x55);
   store.WritePage(p, fresh.data());
   EXPECT_THROW(store.Sync(), SimulatedCrash);
-  EXPECT_TRUE(store.crashed());
-  store.ClearCrash();
-  // Exactly the first `tear` new bytes survive; the rest rolled back.
+  EXPECT_TRUE(store.fault().crashed());
+  store.fault().ClearCrash();
+  // A bare Sync declares the whole page: exactly the first `tear` new
+  // bytes survive; the rest rolled back.
   std::vector<uint8_t> probe(512);
   store.ReadPage(p, probe.data());
   EXPECT_TRUE(std::memcmp(probe.data(), fresh.data(), tear) == 0);
@@ -138,11 +141,11 @@ TEST(PageStoreTest, ArmedSyncNoTearCommitsNothing) {
   std::vector<uint8_t> durable = Stamp(512, 0x66);
   store.WritePage(p, durable.data());
   store.Sync();
-  store.FailAfterSyncs(1, PageStore::kNoTear);
+  store.fault().FailAfterBarriers(1, FaultDevice::kNoTear);
   std::vector<uint8_t> fresh = Stamp(512, 0x77);
   store.WritePage(p, fresh.data());
   EXPECT_THROW(store.Sync(), SimulatedCrash);
-  store.ClearCrash();
+  store.fault().ClearCrash();
   std::vector<uint8_t> probe(512);
   store.ReadPage(p, probe.data());
   EXPECT_EQ(probe, durable);
@@ -156,19 +159,61 @@ TEST(PageStoreTest, TornBarrierCommitsPagesInFirstWriteOrder) {
   store.Sync();
   std::vector<uint8_t> wa = Stamp(512, 0x88);
   std::vector<uint8_t> wb = Stamp(512, 0x99);
-  // Budget = one whole page + 64 bytes: page a (written first) commits
-  // fully, page b commits a 64-byte prefix.
-  store.FailAfterSyncs(1, 512 + 64);
+  // A bare Sync declares whole pages in first-write order. Tear = one
+  // whole page + 64 bytes: page a (written first) commits fully, page b
+  // commits a 64-byte prefix.
+  store.fault().FailAfterBarriers(1, 512 + 64);
   store.WritePage(a, wa.data());
   store.WritePage(b, wb.data());
   EXPECT_THROW(store.Sync(), SimulatedCrash);
-  store.ClearCrash();
+  store.fault().ClearCrash();
   std::vector<uint8_t> probe(512);
   store.ReadPage(a, probe.data());
   EXPECT_EQ(probe, wa);
   store.ReadPage(b, probe.data());
   EXPECT_TRUE(std::memcmp(probe.data(), wb.data(), 64) == 0);
   EXPECT_EQ(probe[64], 0);  // the rest rolled back to zeros
+}
+
+// A barrier's tear counts its declared bytes. When only bytes
+// [offset, offset + len) of a page differ from its durable image, a
+// whole-page tear t and a declared tear t - offset leave the same page.
+TEST(PageStoreTest, DeclaredTearMatchesPagePrefixTear) {
+  const size_t kOffset = 200;
+  const size_t kLen = 100;
+  auto torn_page = [&](bool declared, int64_t tear) {
+    PageStore store(TempPath("psdecl"), SmallOpts());
+    EXPECT_TRUE(store.ok());
+    uint32_t p = store.AllocatePage();
+    std::vector<uint8_t> page = Stamp(512, 0x12);
+    store.WritePage(p, page.data());
+    store.Sync();
+    for (size_t i = kOffset; i < kOffset + kLen; ++i) page[i] ^= 0xff;
+    store.WritePage(p, page.data());
+    store.fault().FailAfterBarriers(1, tear);
+    const PageStore::Extent extent{p, kOffset, kLen};
+    if (declared) {
+      EXPECT_THROW(store.Sync({&extent, 1}), SimulatedCrash);
+    } else {
+      EXPECT_THROW(store.Sync(), SimulatedCrash);
+    }
+    store.fault().ClearCrash();
+    std::vector<uint8_t> probe(512);
+    store.ReadPage(p, probe.data());
+    return probe;
+  };
+  for (int64_t t : {int64_t{0}, int64_t{1}, int64_t{50}, int64_t{99},
+                    int64_t{100}, int64_t{300}}) {
+    SCOPED_TRACE(t);
+    EXPECT_EQ(torn_page(true, t),
+              torn_page(false, t + static_cast<int64_t>(kOffset)));
+  }
+  // The declared bytes are all the barrier has: a tear past them commits
+  // exactly the declared range and nothing else.
+  std::vector<uint8_t> full = torn_page(true, 512);
+  std::vector<uint8_t> want = Stamp(512, 0x12);
+  for (size_t i = kOffset; i < kOffset + kLen; ++i) want[i] ^= 0xff;
+  EXPECT_EQ(full, want);
 }
 
 TEST(BufferPoolTest, HitMissEvictionCounters) {
@@ -253,7 +298,7 @@ TEST(BufferPoolTest, FlushPageIsDurableWritebackIsNot) {
   pool.Unpin(p1, true);
   pool.FlushAll();  // write-back only: NOT durable
   store.Crash();
-  store.ClearCrash();
+  store.fault().ClearCrash();
   pool.Reset();
   std::vector<uint8_t> probe(512);
   store.ReadPage(p0, probe.data());

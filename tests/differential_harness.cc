@@ -1,7 +1,11 @@
 #include "differential_harness.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
@@ -10,6 +14,7 @@
 
 #include "common/random.h"
 #include "index/registry.h"
+#include "store/disk_store.h"
 #include "store/viper.h"
 #include "workload/datasets.h"
 
@@ -228,19 +233,20 @@ void FillPutPayload(Key key, Value tag, uint8_t* buf, size_t n) {
 // payload", anything else is a FillPutPayload tag.
 constexpr Value kSyntheticTag = ~0ull;
 
-std::optional<Failure> ExecuteStoreStream(const std::string& index_name,
+std::optional<Failure> ExecuteStoreStream(StoreMedium medium,
+                                          const std::string& index_name,
                                           const std::vector<Key>& load_keys,
                                           const std::vector<DiffOp>& ops,
                                           size_t value_size,
-                                          bool crash_before_recover = false) {
-  ViperStore::Config vcfg;
-  vcfg.value_size = value_size;
-  // Keep the arena small: minimization replays construct many stores.
-  vcfg.pmem_capacity = size_t{64} << 20;
-  ViperStore store(MakeIndex(index_name), vcfg);
+                                          bool crash_before_recover) {
+  std::unique_ptr<RecordCore> owned =
+      MakeHarnessStore(medium, index_name, value_size);
+  RecordCore& store = *owned;
   Oracle oracle;
   for (Key k : load_keys) oracle[k] = kSyntheticTag;
-  if (!store.BulkLoad(load_keys)) return Failure{0, "BulkLoad exhausted pmem"};
+  if (!store.BulkLoad(load_keys)) {
+    return Failure{0, "BulkLoad exhausted the medium"};
+  }
 
   std::vector<uint8_t> buf(value_size);
   std::vector<uint8_t> want(value_size);
@@ -328,27 +334,29 @@ std::optional<Failure> ExecuteStoreStream(const std::string& index_name,
 // crash, replay with live verification against the acknowledged-op
 // oracle, recover, and check the recovered store holds EXACTLY what the
 // durability contract promises. The armed crash can only fire inside a
-// Put (nothing else on the post-load path persists); which of the put's
-// two barriers fired is recovered from the persist counter, making the
-// expected post-crash state fully deterministic:
+// Put (nothing else on the post-load path takes a barrier); which of the
+// put's two barriers fired is recovered from the barrier counter, making
+// the expected post-crash state fully deterministic:
 //   * payload barrier (delta 1): no header ever written — strict oracle;
 //   * header barrier, tear < sizeof(RecordHeader): the trailing magic never
 //     completes — strict oracle;
 //   * header barrier, tear covers the whole header: the in-flight put is
 //     durable despite never being acknowledged — oracle plus that put.
-std::optional<Failure> ExecuteCrashRun(const std::string& index_name,
+std::optional<Failure> ExecuteCrashRun(StoreMedium medium,
+                                       const std::string& index_name,
                                        const std::vector<Key>& load_keys,
                                        const std::vector<DiffOp>& ops,
                                        size_t value_size, uint64_t crash_at,
                                        int64_t tear) {
-  ViperStore::Config vcfg;
-  vcfg.value_size = value_size;
-  vcfg.pmem_capacity = size_t{64} << 20;
-  ViperStore store(MakeIndex(index_name), vcfg);
+  std::unique_ptr<RecordCore> owned =
+      MakeHarnessStore(medium, index_name, value_size);
+  RecordCore& store = *owned;
   Oracle acked;
   for (Key k : load_keys) acked[k] = kSyntheticTag;
-  if (!store.BulkLoad(load_keys)) return Failure{0, "BulkLoad exhausted pmem"};
-  store.mutable_pmem().crash().FailAfterPersists(crash_at, tear);
+  if (!store.BulkLoad(load_keys)) {
+    return Failure{0, "BulkLoad exhausted the medium"};
+  }
+  store.fault().FailAfterBarriers(crash_at, tear);
 
   std::vector<uint8_t> buf(value_size);
   std::vector<uint8_t> want(value_size);
@@ -364,7 +372,7 @@ std::optional<Failure> ExecuteCrashRun(const std::string& index_name,
   bool crashed = false;
   Key pending_key = 0;
   Value pending_tag = 0;
-  uint64_t put_persists_before = 0;
+  uint64_t put_barriers_before = 0;
   size_t i = 0;
   try {
     for (; i < ops.size(); ++i) {
@@ -390,7 +398,7 @@ std::optional<Failure> ExecuteCrashRun(const std::string& index_name,
           FillPutPayload(op.key, tag, buf.data(), value_size);
           pending_key = op.key;
           pending_tag = tag;
-          put_persists_before = store.pmem().persist_count();
+          put_barriers_before = store.IoStats().barriers;
           if (!store.Put(op.key, buf.data())) {
             return Failure{i, "pre-crash Put failed"};
           }
@@ -415,17 +423,16 @@ std::optional<Failure> ExecuteCrashRun(const std::string& index_name,
   bool pending_durable = false;
   if (crashed) {
     if (i >= ops.size() || ops[i].kind != DiffOp::kPut) {
-      return Failure{i, "crash fired outside a Put (no persist expected)"};
+      return Failure{i, "crash fired outside a Put (no barrier expected)"};
     }
-    uint64_t delta = store.pmem().persist_count() - put_persists_before;
+    uint64_t delta = store.IoStats().barriers - put_barriers_before;
     pending_durable =
-        delta == 2 && tear != CrashController::kNoTear &&
-        tear >= static_cast<int64_t>(sizeof(RecordHeader));
+        delta == 2 && tear >= static_cast<int64_t>(sizeof(RecordHeader));
   } else {
     // The (possibly minimized) stream crossed fewer than crash_at
     // barriers: power-fail at the quiescent end instead so the
     // verification below still runs.
-    store.mutable_pmem().crash().Disarm();
+    store.fault().Disarm();
     store.Crash();
   }
   store.Recover();
@@ -514,6 +521,33 @@ std::string BuildReport(const std::string& kind, const std::string& index_name,
 }
 
 }  // namespace
+
+const char* MediumName(StoreMedium medium) {
+  return medium == StoreMedium::kViper ? "viper" : "disk";
+}
+
+std::unique_ptr<RecordCore> MakeHarnessStore(StoreMedium medium,
+                                             const std::string& index_name,
+                                             size_t value_size) {
+  // Small media: minimization replays construct many stores.
+  if (medium == StoreMedium::kViper) {
+    ViperStore::Config cfg;
+    cfg.value_size = value_size;
+    cfg.pmem_capacity = size_t{64} << 20;
+    return std::make_unique<ViperStore>(MakeIndex(index_name), cfg);
+  }
+  static std::atomic<uint64_t> next_file{0};
+  DiskStore::Config cfg;
+  cfg.value_size = value_size;
+  cfg.pool_pages = 8;
+  cfg.file_capacity = size_t{64} << 20;
+  cfg.io_engine = "serial";
+  cfg.path = (std::filesystem::temp_directory_path() /
+              ("pieces_harness_" + std::to_string(::getpid()) + "_" +
+               std::to_string(next_file.fetch_add(1)) + ".pages"))
+                 .string();
+  return std::make_unique<DiskStore>(MakeIndex(index_name), cfg);
+}
 
 void MakeDiffKeys(const DiffConfig& cfg, std::vector<Key>* load,
                   std::vector<Key>* inserts) {
@@ -648,7 +682,7 @@ DiffResult RunStoreDifferential(const std::string& index_name,
   std::vector<DiffOp> ops = GenerateDiffOps(effective, load_keys, insert_pool);
 
   std::optional<Failure> failure =
-      ExecuteStoreStream(index_name, load_keys, ops,
+      ExecuteStoreStream(effective.medium, index_name, load_keys, ops,
                          effective.store_value_size,
                          effective.crash_before_recover);
   result.ops_executed = ops.size();
@@ -660,14 +694,15 @@ DiffResult RunStoreDifferential(const std::string& index_name,
                         std::min(ops.size(), failure->op_index + 1)));
   std::vector<DiffOp> minimized =
       MinimizeOps(prefix, [&](const std::vector<DiffOp>& candidate) {
-        return ExecuteStoreStream(index_name, load_keys, candidate,
-                                  effective.store_value_size,
+        return ExecuteStoreStream(effective.medium, index_name, load_keys,
+                                  candidate, effective.store_value_size,
                                   effective.crash_before_recover)
             .has_value();
       });
   result.ok = false;
-  result.report = BuildReport("ViperStore", index_name, effective, *failure,
-                              ops, minimized);
+  result.report =
+      BuildReport(std::string(MediumName(effective.medium)) + " store",
+                  index_name, effective, *failure, ops, minimized);
   return result;
 }
 
@@ -686,61 +721,62 @@ CrashSweepResult RunCrashSweep(const std::string& index_name,
     effective.read_pct += effective.scan_pct;
     effective.scan_pct = 0;
   }
+  const StoreMedium medium = effective.medium;
+  const std::string name = MediumName(medium);
   std::vector<Key> load_keys;
   std::vector<Key> insert_pool;
   MakeDiffKeys(effective, &load_keys, &insert_pool);
   std::vector<DiffOp> ops = GenerateDiffOps(effective, load_keys, insert_pool);
 
-  // Dry run: count the persist barriers the stream crosses — each one is
-  // a crash point — with a huge armed count so the n = "never fires"
-  // endpoint (quiescent crash + recover) is verified too.
+  // Dry run: count the barriers the stream crosses — each one is a crash
+  // point — with a huge armed count so the n = "never fires" endpoint
+  // (quiescent crash + recover) is verified too.
   {
     std::optional<Failure> clean = ExecuteCrashRun(
-        index_name, load_keys, ops, effective.store_value_size, ~0ull,
-        CrashController::kNoTear);
+        medium, index_name, load_keys, ops, effective.store_value_size, ~0ull,
+        FaultDevice::kNoTear);
     if (clean) {
       result.ok = false;
-      result.report = BuildReport("crash-sweep dry run", index_name, effective,
-                                  *clean, ops, ops);
+      result.report = BuildReport(name + " crash-sweep dry run", index_name,
+                                  effective, *clean, ops, ops);
       return result;
     }
-    ViperStore::Config vcfg;
-    vcfg.value_size = effective.store_value_size;
-    vcfg.pmem_capacity = size_t{64} << 20;
-    ViperStore store(MakeIndex(index_name), vcfg);
-    store.BulkLoad(load_keys);
-    uint64_t before = store.pmem().persist_count();
+    std::unique_ptr<RecordCore> store =
+        MakeHarnessStore(medium, index_name, effective.store_value_size);
+    store->BulkLoad(load_keys);
+    uint64_t before = store->IoStats().barriers;
     std::vector<uint8_t> buf(effective.store_value_size);
     std::vector<Key> scan_keys;
     for (const DiffOp& op : ops) {
       switch (op.kind) {
         case DiffOp::kGet:
-          store.Get(op.key, buf.data());
+          store->Get(op.key, buf.data());
           break;
         case DiffOp::kPut:
           FillPutPayload(op.key, op.value, buf.data(), buf.size());
-          store.Put(op.key, buf.data());
+          store->Put(op.key, buf.data());
           break;
         case DiffOp::kScan:
           scan_keys.clear();
-          store.Scan(op.key, op.scan_len, &scan_keys);
+          store->Scan(op.key, op.scan_len, &scan_keys);
           break;
         case DiffOp::kRecover:
-          store.Recover();
+          store->Recover();
           break;
       }
     }
     result.crash_points =
-        static_cast<size_t>(store.pmem().persist_count() - before);
+        static_cast<size_t>(store->IoStats().barriers - before);
   }
 
   std::vector<int64_t> tears = tear_offsets;
-  if (tears.empty()) tears.push_back(CrashController::kNoTear);
+  if (tears.empty()) tears.push_back(FaultDevice::kNoTear);
   for (uint64_t n = 1; n <= result.crash_points; ++n) {
     for (int64_t tear : tears) {
       ++result.runs;
-      std::optional<Failure> failure = ExecuteCrashRun(
-          index_name, load_keys, ops, effective.store_value_size, n, tear);
+      std::optional<Failure> failure =
+          ExecuteCrashRun(medium, index_name, load_keys, ops,
+                          effective.store_value_size, n, tear);
       if (!failure) continue;
       std::vector<DiffOp> prefix(
           ops.begin(),
@@ -748,13 +784,13 @@ CrashSweepResult RunCrashSweep(const std::string& index_name,
                             std::min(ops.size(), failure->op_index + 1)));
       std::vector<DiffOp> minimized =
           MinimizeOps(prefix, [&](const std::vector<DiffOp>& candidate) {
-            return ExecuteCrashRun(index_name, load_keys, candidate,
+            return ExecuteCrashRun(medium, index_name, load_keys, candidate,
                                    effective.store_value_size, n, tear)
                 .has_value();
           });
       result.ok = false;
       result.report = BuildReport(
-          "crash-sweep persist=" + std::to_string(n) +
+          name + " crash-sweep barrier=" + std::to_string(n) +
               " tear=" + std::to_string(tear),
           index_name, effective, *failure, ops, minimized);
       return result;
@@ -763,7 +799,8 @@ CrashSweepResult RunCrashSweep(const std::string& index_name,
   return result;
 }
 
-CrashSweepResult RunBulkLoadCrashSweep(const std::string& index_name,
+CrashSweepResult RunBulkLoadCrashSweep(StoreMedium medium,
+                                       const std::string& index_name,
                                        size_t load_keys,
                                        const std::vector<int64_t>& tear_offsets,
                                        uint64_t seed) {
@@ -773,43 +810,47 @@ CrashSweepResult RunBulkLoadCrashSweep(const std::string& index_name,
     result.report = "unknown index: " + index_name;
     return result;
   }
+  constexpr size_t kValueSize = 24;
   std::vector<Key> keys = MakeUniformKeys(load_keys, seed);
-  ViperStore::Config vcfg;
-  vcfg.value_size = 24;
-  vcfg.pmem_capacity = size_t{64} << 20;
   size_t record_bytes = 0;
+  size_t slots_per_page = 0;
   // Dry run: barrier count (one per page span) and record geometry.
   {
-    ViperStore store(MakeIndex(index_name), vcfg);
-    record_bytes = store.record_bytes();
-    uint64_t before = store.pmem().persist_count();
-    if (!store.BulkLoad(keys)) {
+    std::unique_ptr<RecordCore> store =
+        MakeHarnessStore(medium, index_name, kValueSize);
+    record_bytes = store->record_bytes();
+    slots_per_page = store->slots_per_page();
+    uint64_t before = store->IoStats().barriers;
+    if (!store->BulkLoad(keys)) {
       result.ok = false;
-      result.report = "BulkLoad exhausted pmem";
+      result.report = "BulkLoad exhausted the medium";
       return result;
     }
     result.crash_points =
-        static_cast<size_t>(store.pmem().persist_count() - before);
+        static_cast<size_t>(store->IoStats().barriers - before);
   }
 
   std::vector<int64_t> tears = tear_offsets;
-  if (tears.empty()) tears.push_back(CrashController::kNoTear);
-  std::vector<uint8_t> buf(vcfg.value_size);
-  std::vector<uint8_t> want(vcfg.value_size);
+  if (tears.empty()) tears.push_back(FaultDevice::kNoTear);
+  std::vector<uint8_t> buf(kValueSize);
+  std::vector<uint8_t> want(kValueSize);
   auto fail = [&](uint64_t n, int64_t tear, const std::string& detail) {
     result.ok = false;
     std::ostringstream os;
-    os << "BULKLOAD CRASH SWEEP FAILURE\n  index=" << index_name
-       << " seed=" << seed << " keys=" << keys.size() << " persist=" << n
-       << " tear=" << tear << "\n  detail: " << detail << "\n";
+    os << "BULKLOAD CRASH SWEEP FAILURE\n  medium=" << MediumName(medium)
+       << " index=" << index_name << " seed=" << seed
+       << " keys=" << keys.size() << " barrier=" << n << " tear=" << tear
+       << "\n  detail: " << detail << "\n";
     result.report = os.str();
     return result;
   };
   for (uint64_t n = 1; n <= result.crash_points; ++n) {
     for (int64_t tear : tears) {
       ++result.runs;
-      ViperStore store(MakeIndex(index_name), vcfg);
-      store.mutable_pmem().crash().FailAfterPersists(n, tear);
+      std::unique_ptr<RecordCore> owned =
+          MakeHarnessStore(medium, index_name, kValueSize);
+      RecordCore& store = *owned;
+      store.fault().FailAfterBarriers(n, tear);
       bool crashed = false;
       try {
         store.BulkLoad(keys);
@@ -818,18 +859,16 @@ CrashSweepResult RunBulkLoadCrashSweep(const std::string& index_name,
       }
       if (!crashed) return fail(n, tear, "armed crash never fired");
       store.Recover();
-      // Exact durable prefix: barrier k persists the k-th page span, so
-      // spans 1..n-1 are fully durable and the crashing span keeps its
+      // Exact durable prefix: barrier k makes the k-th page span durable,
+      // so spans 1..n-1 are fully durable and the crashing span keeps its
       // torn prefix's *complete* records (a torn record's header cannot
       // validate).
-      size_t full = std::min(keys.size(), (n - 1) * vcfg.slots_per_page);
-      size_t span_records =
-          std::min(vcfg.slots_per_page, keys.size() - full);
+      size_t full = std::min(keys.size(), (n - 1) * slots_per_page);
+      size_t span_records = std::min(slots_per_page, keys.size() - full);
       size_t torn_records =
-          tear == CrashController::kNoTear
-              ? 0
-              : std::min(static_cast<size_t>(tear) / record_bytes,
-                         span_records);
+          tear < 0 ? 0
+                   : std::min(static_cast<size_t>(tear) / record_bytes,
+                              span_records);
       size_t expect = full + torn_records;
       if (store.size() != expect) {
         return fail(n, tear,

@@ -1,5 +1,6 @@
-// Differential conformance harness: drives any registered index (and
-// ViperStore stacked on any updatable index) through long seeded streams
+// Differential conformance harness: drives any registered index (and a
+// record store — ViperStore or DiskStore — stacked on any updatable
+// index) through long seeded streams
 // of interleaved operations — bulk-load, point read, insert, update
 // (upsert), scan, recover — and checks every single result against a
 // std::map oracle. On divergence it delta-minimizes the op stream and
@@ -13,18 +14,35 @@
 #define PIECES_TESTS_DIFFERENTIAL_HARNESS_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "index/ordered_index.h"
+#include "store/record_core.h"
 #include "workload/ycsb.h"
 
 namespace pieces {
 
+// The medium a store-level run builds its store on.
+enum class StoreMedium { kViper, kDisk };
+
+// "viper" or "disk".
+const char* MediumName(StoreMedium medium);
+
+// The one store factory behind every store-level run: a fresh
+// `index_name` index under a small ViperStore (64 MiB arena) or DiskStore
+// (a per-store temp file behind an 8-frame pool with the serial engine).
+// Either way the store is armed and observed through fault() and
+// IoStats(), so a run is written once for both media.
+std::unique_ptr<RecordCore> MakeHarnessStore(StoreMedium medium,
+                                             const std::string& index_name,
+                                             size_t value_size);
+
 // One operation in a differential stream. kPut covers insert, update and
 // the write half of read-modify-write (all upserts through OrderedIndex);
 // kRecover rebuilds the index from a sorted snapshot of the oracle
-// (ViperStore runs use ViperStore::Recover instead).
+// (store runs use the store's Recover instead).
 struct DiffOp {
   enum Kind : uint8_t { kGet = 0, kPut = 1, kScan = 2, kRecover = 3 };
   Kind kind;
@@ -52,11 +70,13 @@ struct DiffConfig {
   uint32_t scan_len = 64;
   KeyPick pick = KeyPick::kZipfian;
   size_t recover_every = 0;  // 0 = never; else a kRecover op every N ops.
-  // ViperStore runs only: value payload bytes (small keeps memcmp cheap).
+  // Store runs only: the medium under the store.
+  StoreMedium medium = StoreMedium::kViper;
+  // Store runs only: value payload bytes (small keeps memcmp cheap).
   size_t store_value_size = 24;
-  // ViperStore runs only: kRecover ops power-fail the PMem (dropping every
-  // written-but-unpersisted byte) before recovering, instead of rebuilding
-  // a live store. Acknowledged ops must still all survive.
+  // Store runs only: kRecover ops power-fail the medium (dropping every
+  // written-but-unbarriered byte) before recovering, instead of
+  // rebuilding a live store. Acknowledged ops must still all survive.
   bool crash_before_recover = false;
 };
 
@@ -82,15 +102,15 @@ void MakeDiffKeys(const DiffConfig& cfg, std::vector<Key>* load,
 DiffResult RunIndexDifferential(const std::string& index_name,
                                 const DiffConfig& cfg);
 
-// Runs the same stream end-to-end through a ViperStore built on
+// Runs the same stream end-to-end through a store on cfg.medium built on
 // `index_name` (must support insert), verifying full value payloads and
-// using ViperStore::Recover for kRecover ops.
+// using the store's Recover for kRecover ops.
 DiffResult RunStoreDifferential(const std::string& index_name,
                                 const DiffConfig& cfg);
 
 struct CrashSweepResult {
   bool ok = true;
-  size_t crash_points = 0;  // persist barriers the sweep crashed at
+  size_t crash_points = 0;  // durability barriers the sweep crashed at
   size_t runs = 0;          // (crash point, tear offset) replays executed
   // On failure: the first failing (crash point, tear) with a minimized
   // replayable op prefix, in the differential-report format.
@@ -98,11 +118,11 @@ struct CrashSweepResult {
 };
 
 // Crash-point sweep (the durability contract, exhaustively): replays the
-// cfg stream against a ViperStore on `index_name` (must be updatable)
-// once per (persist barrier n, tear offset) pair, arming a crash at the
-// n-th barrier after bulk-load — for every n the stream crosses — with
-// `tear_bytes` of the crashing barrier's range committed (see
-// CrashController::FailAfterPersists; CrashController::kNoTear commits
+// cfg stream against a store on cfg.medium over `index_name` (must be
+// updatable) once per (barrier n, tear offset) pair, arming a crash at
+// the n-th barrier after bulk-load — for every n the stream crosses —
+// with `tear_bytes` of the crashing barrier's declared bytes committed
+// (see FaultDevice::FailAfterBarriers; FaultDevice::kNoTear commits
 // nothing). After each crash the store recovers and must contain exactly
 // the acknowledged ops — plus the single in-flight put iff its commit
 // header deterministically became durable (the crash fired at the header
@@ -113,12 +133,13 @@ CrashSweepResult RunCrashSweep(const std::string& index_name,
                                const DiffConfig& cfg,
                                const std::vector<int64_t>& tear_offsets);
 
-// Crash-point sweep over BulkLoad's per-page persist barriers: loads
+// Crash-point sweep over BulkLoad's per-page barriers on `medium`: loads
 // `load_keys` uniform keys, crashing at every barrier x tear offset, and
 // asserts the recovered store holds *exactly* the durable prefix —
 // (n-1) full page spans plus the torn span's complete records — nothing
 // more, nothing less.
-CrashSweepResult RunBulkLoadCrashSweep(const std::string& index_name,
+CrashSweepResult RunBulkLoadCrashSweep(StoreMedium medium,
+                                       const std::string& index_name,
                                        size_t load_keys,
                                        const std::vector<int64_t>& tear_offsets,
                                        uint64_t seed = 1);

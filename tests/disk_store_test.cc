@@ -1,7 +1,8 @@
 // DiskStore integration tests: the end-to-end KV path over the paged
-// file + buffer pool, crash-sweep property tests at every fsync barrier
-// against an acked-ops oracle, and a three-way differential (DiskStore vs
-// ViperStore vs std::map) on a dataset far larger than the pool.
+// file + buffer pool, a crash sweep under concurrent group commit, and a
+// three-way differential (DiskStore vs ViperStore vs std::map) on a
+// dataset far larger than the pool. The single-writer crash sweeps run
+// on both media in crash_sweep_test.cc.
 #include "store/disk_store.h"
 
 #include <unistd.h>
@@ -198,144 +199,6 @@ TEST(DiskStoreRecoveryTest, QuiescentCrashKeepsAckedDropsNothingElse) {
   for (Key k : acked) ExpectSynthetic(store, k, "acked-after-crash");
   for (size_t i = 0; i < load.size(); i += 17) {
     ExpectSynthetic(store, load[i], "loaded-after-crash");
-  }
-}
-
-// The crash-sweep property test: replay a put stream, arming a crash at
-// EVERY fsync barrier the stream crosses, for several torn-write budgets.
-// After recovery the store must contain exactly the bulk-loaded keys plus
-// every acked put — and the one in-flight put may appear iff its header
-// became durable, but never with a wrong value, and nothing else ever
-// appears or disappears.
-TEST(DiskStoreCrashSweepTest, EveryFsyncBarrierEveryTear) {
-  std::vector<Key> keys = MakeUniformKeys(600, 21);
-  std::vector<Key> load, inserts;
-  SplitLoadAndInserts(keys, 3, &load, &inserts);
-  const size_t kPuts = 24;
-  ASSERT_GE(inserts.size(), kPuts);
-
-  // Dry run: count the barriers the put stream crosses (2 per put).
-  uint64_t stream_barriers = 0;
-  {
-    DiskStore store(MakeIndex("BTree"), SmallConfig("sweepdry", 8));
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store.BulkLoad(load));
-    const uint64_t before = store.pages().syncs();
-    for (size_t i = 0; i < kPuts; ++i) {
-      // Half fresh inserts, half updates of loaded keys.
-      ASSERT_TRUE(store.PutSynthetic(i % 2 == 0 ? inserts[i] : load[i]));
-    }
-    stream_barriers = store.pages().syncs() - before;
-  }
-  ASSERT_EQ(stream_barriers, 2 * kPuts);
-
-  const std::vector<int64_t> tears = {PageStore::kNoTear, 0, 8, 100,
-                                      4096, 8192};
-  size_t runs = 0;
-  for (uint64_t barrier = 1; barrier <= stream_barriers; ++barrier) {
-    for (int64_t tear : tears) {
-      DiskStore store(MakeIndex("BTree"), SmallConfig("sweep", 8));
-      ASSERT_TRUE(store.ok());
-      ASSERT_TRUE(store.BulkLoad(load));
-      store.mutable_pages().FailAfterSyncs(barrier, tear);
-      std::map<Key, bool> acked;  // key -> acked (oracle)
-      Key inflight_key = 0;
-      bool crashed = false;
-      for (size_t i = 0; i < kPuts && !crashed; ++i) {
-        Key key = i % 2 == 0 ? inserts[i] : load[i];
-        try {
-          inflight_key = key;
-          if (store.PutSynthetic(key)) acked[key] = true;
-        } catch (const SimulatedCrash&) {
-          crashed = true;
-        }
-      }
-      ASSERT_TRUE(crashed) << "barrier " << barrier << " never fired";
-      store.Recover();
-      ++runs;
-      const std::string ctx = "barrier=" + std::to_string(barrier) +
-                              " tear=" + std::to_string(tear);
-      // Every acked put and every loaded key must survive with the right
-      // payload.
-      for (const auto& [key, _] : acked) {
-        ExpectSynthetic(store, key, ctx.c_str());
-      }
-      for (Key k : load) {
-        std::vector<uint8_t> buf(store.value_size());
-        ASSERT_TRUE(store.Get(k, buf.data())) << ctx << " lost " << k;
-      }
-      // Nothing beyond load + acked + possibly the in-flight put exists;
-      // if the in-flight put is present it must read back correctly.
-      const size_t base = load.size() + [&] {
-        size_t fresh = 0;
-        for (const auto& [key, _] : acked) {
-          fresh += std::binary_search(load.begin(), load.end(), key) ? 0 : 1;
-        }
-        return fresh;
-      }();
-      ASSERT_GE(store.size(), base) << ctx;
-      ASSERT_LE(store.size(), base + 1) << ctx;
-      std::vector<uint8_t> buf(store.value_size());
-      if (!acked.count(inflight_key) &&
-          !std::binary_search(load.begin(), load.end(), inflight_key) &&
-          store.Get(inflight_key, buf.data())) {
-        std::vector<uint8_t> want(store.value_size());
-        FillSyntheticRecordValue(inflight_key, want.data(), want.size());
-        EXPECT_EQ(buf, want) << ctx << " torn in-flight value";
-      }
-    }
-  }
-  EXPECT_EQ(runs, stream_barriers * tears.size());
-}
-
-// BulkLoad crashes: arm every per-page flush barrier; the recovered store
-// must hold a prefix of whole records (CRC kills any torn one) and every
-// record it holds must read back exactly.
-TEST(DiskStoreCrashSweepTest, BulkLoadBarriers) {
-  std::vector<Key> keys = MakeUniformKeys(200, 31);
-  std::sort(keys.begin(), keys.end());
-  uint64_t barriers = 0;
-  {
-    DiskStore store(MakeIndex("BTree"), SmallConfig("bldry", 8));
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store.BulkLoad(keys));
-    barriers = store.pages().syncs();
-  }
-  ASSERT_GT(barriers, 2u);  // multiple pages => multiple barriers
-  for (uint64_t barrier = 1; barrier <= barriers; ++barrier) {
-    for (int64_t tear : {PageStore::kNoTear, int64_t{300}, int64_t{4096}}) {
-      DiskStore store(MakeIndex("BTree"), SmallConfig("blsweep", 8));
-      ASSERT_TRUE(store.ok());
-      store.mutable_pages().FailAfterSyncs(barrier, tear);
-      bool crashed = false;
-      try {
-        store.BulkLoad(keys);
-      } catch (const SimulatedCrash&) {
-        crashed = true;
-      }
-      ASSERT_TRUE(crashed);
-      store.Recover();
-      // The survivors are exactly a subset of the load; every present key
-      // reads back byte-correct, every key is either present or absent
-      // cleanly (Get never throws or misreads).
-      size_t present = 0;
-      std::vector<uint8_t> buf(store.value_size());
-      for (Key k : keys) {
-        if (store.Get(k, buf.data())) {
-          std::vector<uint8_t> want(store.value_size());
-          FillSyntheticRecordValue(k, want.data(), want.size());
-          ASSERT_EQ(buf, want) << "barrier=" << barrier;
-          ++present;
-        }
-      }
-      EXPECT_EQ(present, store.size());
-      // An untorn crashing barrier commits nothing from its page, so at
-      // least that page's records are lost. (A tear >= page_size can
-      // commit the whole page — at the final barrier that loses nothing.)
-      if (tear == PageStore::kNoTear) {
-        EXPECT_LT(present, keys.size());
-      }
-    }
   }
 }
 
@@ -565,7 +428,7 @@ TEST(DiskStoreCrashSweepTest, GroupCommitEveryBarrierEveryTear) {
   // 32 puts in groups of <= 4: at least ceil(32/4) * 2 = 16 barriers are
   // crossed however the grouping lands, so barriers 1..16 always fire.
   constexpr uint64_t kBarriers = 16;
-  const std::vector<int64_t> tears = {PageStore::kNoTear, 0, 8, 100,
+  const std::vector<int64_t> tears = {FaultDevice::kNoTear, 0, 8, 100,
                                       4096, 8192};
   std::sort(load.begin(), load.end());
   for (uint64_t barrier = 1; barrier <= kBarriers; ++barrier) {
@@ -574,7 +437,7 @@ TEST(DiskStoreCrashSweepTest, GroupCommitEveryBarrierEveryTear) {
                       GroupConfig("gcsweep", 4, 500, 16));
       ASSERT_TRUE(store.ok());
       ASSERT_TRUE(store.BulkLoad(load));
-      store.mutable_pages().FailAfterSyncs(barrier, tear);
+      store.fault().FailAfterBarriers(barrier, tear);
       std::vector<std::vector<Key>> acked(kThreads);
       std::vector<std::thread> writers;
       for (size_t t = 0; t < kThreads; ++t) {
@@ -590,7 +453,7 @@ TEST(DiskStoreCrashSweepTest, GroupCommitEveryBarrierEveryTear) {
         });
       }
       for (auto& th : writers) th.join();
-      ASSERT_TRUE(store.pages().crashed())
+      ASSERT_TRUE(store.fault().crashed())
           << "barrier " << barrier << " never fired";
       store.Recover();
       const std::string ctx = "barrier=" + std::to_string(barrier) +
