@@ -169,8 +169,10 @@ void RunReplication(Context& ctx) {
   }
 
   // 2. Ack mode cost: what semi-sync acks charge for turning kOk into
-  // "applied on the replica too". Every write waits out the shipper's
-  // batch boundary, so throughput drops and tails stretch by roughly the
+  // "applied on the replica too". Each worker batch waits once for the
+  // shipper to apply its latest write, so the price is one replication
+  // round trip per batch rather than per write: throughput drops by the
+  // hand-offs a batch cannot amortize, and tails stretch by up to the
   // ship interval plus the transport delay.
   ctx.sink.Section("ack mode: async (kLocal) vs semi-sync (kReplicated)");
   for (AckMode ack : {AckMode::kLocal, AckMode::kReplicated}) {

@@ -92,25 +92,33 @@ bool ReplicaSession::WaitCaughtUp(uint64_t timeout_us) {
   return acked_ >= target;
 }
 
-bool ReplicaSession::AwaitReplicated() {
-  // The exact watermark for the calling thread's own write: waiting on
-  // the global tail instead would entangle this ack with concurrent
-  // writers' records and make "acked ⇒ on the replica" one-directional.
-  const uint64_t target = log_->ThisThreadWatermark();
+size_t ReplicaSession::AwaitReplicated(std::span<const uint64_t> marks) {
+  if (marks.empty()) return 0;
+  // Each mark is the exact watermark of one of the calling thread's own
+  // writes: waiting on the global tail instead would entangle this ack
+  // with concurrent writers' records and make "acked ⇒ on the replica"
+  // one-directional.
+  const uint64_t target = marks.back();
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(config_.ack_timeout_us);
-  std::unique_lock<std::mutex> lock(mu_);
-  while (acked_ < target) {
-    if (dead_ || stopping_) break;
-    if (acked_cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
-        acked_ < target) {
-      break;
+  uint64_t reached;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (acked_ < target && !dead_ && !stopping_) {
+      if (acked_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+        break;
+      }
     }
+    reached = acked_;
   }
-  if (acked_ >= target) return true;
-  ack_failures_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  const size_t confirmed = static_cast<size_t>(
+      std::upper_bound(marks.begin(), marks.end(), reached) - marks.begin());
+  if (confirmed < marks.size()) {
+    ack_failures_.fetch_add(marks.size() - confirmed,
+                            std::memory_order_relaxed);
+  }
+  return confirmed;
 }
 
 bool ReplicaSession::TryRead(Key key, uint8_t* out, bool* found) {

@@ -21,10 +21,11 @@
 // independent shipper thread — so a watermark wait can never deadlock
 // against request execution (see DESIGN.md "Replication & failover").
 //
-// Semi-sync acks (AckMode::kReplicated): the shard worker awaits
-// AwaitReplicated() after a locally durable write; kOk then means "on the
-// replica too", and a dead/stalled link degrades the write to kRetry
-// instead of blocking forever.
+// Semi-sync acks (AckMode::kReplicated): a shard worker holds back the
+// completions of its batch from the first locally durable write on, then
+// calls AwaitReplicated() once for the whole group. kOk then means "on
+// the replica too"; each write the wait did not cover — a dead or
+// stalled link — degrades to kRetry instead of blocking forever.
 #ifndef PIECES_REPLICATION_REPLICA_SESSION_H_
 #define PIECES_REPLICATION_REPLICA_SESSION_H_
 
@@ -33,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 
 #include "replication/replica.h"
@@ -85,7 +87,7 @@ struct ReplicaSessionStats {
   uint64_t replica_reads = 0;    // reads served by the replica
   uint64_t replica_waits = 0;    // served reads that waited at the gate
   uint64_t replica_bounces = 0;  // reads bounced to the primary
-  uint64_t ack_failures = 0;     // semi-sync awaits that timed out/died
+  uint64_t ack_failures = 0;     // semi-sync writes degraded to kRetry
   bool dead = false;
 };
 
@@ -99,7 +101,7 @@ class ReplicaSession {
   ReplicaSession& operator=(const ReplicaSession&) = delete;
 
   // The tap to install on the primary store (StoreBackend::SetCommitTap).
-  std::shared_ptr<ReplicationLog> log() const { return log_; }
+  const std::shared_ptr<ReplicationLog>& log() const { return log_; }
 
   // Bulk-seeds the replica from the *quiesced* primary (no concurrent
   // writers during the call) and fast-forwards the watermarks over the
@@ -116,11 +118,15 @@ class ReplicaSession {
   // 0 waits without bound). True when caught up.
   bool WaitCaughtUp(uint64_t timeout_us = 0);
 
-  // Semi-sync ack: blocks until the calling thread's latest tapped write
-  // is applied on the replica (ack_timeout_us bound). Call from the
-  // thread that committed the put — the per-thread watermark makes the
-  // await exact: true iff that record was delivered.
-  bool AwaitReplicated();
+  // Semi-sync ack for a group of writes the calling thread committed, in
+  // commit order: marks[i] is the log watermark that covers write i
+  // (log()->ThisThreadWatermark() right after its put), so the marks
+  // ascend. Blocks once, until the last mark is applied on the replica
+  // (ack_timeout_us bound), and returns how many writes the acked
+  // watermark covers — always a prefix of the group. Exact per write:
+  // write i is on the replica iff i < the result. The rest count as
+  // ack_failures.
+  size_t AwaitReplicated(std::span<const uint64_t> marks);
 
   // Watermark-gated replica read. True = the read was served here (sets
   // *found / fills `out` on a hit); false = the caller must read the

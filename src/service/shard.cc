@@ -18,6 +18,18 @@ uint64_t MixKey(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+bool IsWrite(OpType type) {
+  return type != OpType::kRead && type != OpType::kScan;
+}
+
+// Records the request's latency, then fires its completion.
+void Complete(Request& req, RequestStatus status) {
+  if (req.latency != nullptr && req.start_nanos != 0) {
+    req.latency->Record(NowNanos() - req.start_nanos);
+  }
+  if (req.done) req.done(status);
+}
+
 }  // namespace
 
 Shard::Shard(size_t id, std::unique_ptr<StoreBackend> store,
@@ -236,21 +248,44 @@ void Shard::WorkerLoop(size_t lane_idx) {
 void Shard::ExecuteBatch(std::vector<Request>& batch, Scratch& scratch) {
   // Runs of consecutive reads go through the store's multi-get fast path;
   // everything else executes per request, preserving queue order exactly.
+  scratch.marks.clear();
+  scratch.held.clear();
   size_t i = 0;
   while (i < batch.size()) {
+    size_t j = i + 1;
     if (batch[i].type == OpType::kRead) {
-      size_t j = i + 1;
       while (j < batch.size() && batch[j].type == OpType::kRead) ++j;
-      if (j - i >= 2) {
-        ExecuteReadRun(batch.data() + i, j - i, scratch);
-      } else {
-        Execute(batch[i], scratch);
-      }
-      i = j;
-    } else {
-      Execute(batch[i], scratch);
-      ++i;
     }
+    if (j - i >= 2) {
+      ExecuteReadRun(batch.data() + i, j - i, scratch);
+    } else {
+      Settle(batch[i], Execute(batch[i], scratch), scratch);
+    }
+    i = j;
+  }
+  if (scratch.marks.empty()) return;
+  // One replication wait for the whole group, then the held-back suffix
+  // completes in batch order. Under sync_ack_ a write leaves Execute with
+  // kOk iff it committed locally and left a mark, so the k-th such write
+  // is on the replica iff k is inside the confirmed prefix.
+  const size_t confirmed = replication_->AwaitReplicated(scratch.marks);
+  Request* held = batch.data() + (batch.size() - scratch.held.size());
+  size_t write = 0;
+  for (size_t k = 0; k < scratch.held.size(); ++k) {
+    RequestStatus status = scratch.held[k];
+    if (status == RequestStatus::kOk && IsWrite(held[k].type)) {
+      status = write++ < confirmed ? RequestStatus::kOk
+                                   : RequestStatus::kRetry;
+    }
+    Complete(held[k], status);
+  }
+}
+
+void Shard::Settle(Request& req, RequestStatus status, Scratch& scratch) {
+  if (scratch.marks.empty()) {
+    Complete(req, status);
+  } else {
+    scratch.held.push_back(status);
   }
 }
 
@@ -271,61 +306,46 @@ void Shard::ExecuteReadRun(Request* reqs, size_t n, Scratch& scratch) {
   store_->GetBatch(std::span<const Key>(scratch.mget_keys),
                    scratch.mget_outs.data(), scratch.mget_found.get());
   for (size_t i = 0; i < n; ++i) {
-    RequestStatus status = scratch.mget_found[i] ? RequestStatus::kOk
-                                                 : RequestStatus::kNotFound;
-    if (reqs[i].latency != nullptr && reqs[i].start_nanos != 0) {
-      reqs[i].latency->Record(NowNanos() - reqs[i].start_nanos);
-    }
-    if (reqs[i].done) reqs[i].done(status);
+    Settle(reqs[i],
+           scratch.mget_found[i] ? RequestStatus::kOk
+                                 : RequestStatus::kNotFound,
+           scratch);
   }
 }
 
-void Shard::Execute(Request& req, Scratch& scratch) {
-  RequestStatus status = RequestStatus::kOk;
+RequestStatus Shard::Execute(Request& req, Scratch& scratch) {
+  uint8_t* out = req.out != nullptr ? req.out : scratch.value.data();
+  bool committed = false;
   switch (req.type) {
     case OpType::kRead:
-      if (!store_->Get(req.key, req.out != nullptr ? req.out
-                                                   : scratch.value.data())) {
-        status = RequestStatus::kNotFound;
-      }
-      break;
+      return store_->Get(req.key, out) ? RequestStatus::kOk
+                                       : RequestStatus::kNotFound;
     case OpType::kUpdate:
-    case OpType::kInsert: {
-      bool ok = req.value != nullptr ? store_->Put(req.key, req.value)
-                                     : store_->PutSynthetic(req.key);
-      if (!ok) {
-        status = RequestStatus::kStoreFull;
-      } else if (sync_ack_ && !replication_->AwaitReplicated()) {
-        // Locally durable, but the replica never confirmed: the client
-        // must treat the write as unacknowledged and may resubmit.
-        status = RequestStatus::kRetry;
-      }
+    case OpType::kInsert:
+      committed = req.value != nullptr ? store_->Put(req.key, req.value)
+                                       : store_->PutSynthetic(req.key);
       break;
-    }
     case OpType::kReadModifyWrite:
-      if (!store_->Get(req.key, req.out != nullptr ? req.out
-                                                   : scratch.value.data())) {
-        status = RequestStatus::kNotFound;
-      } else if (!store_->PutSynthetic(req.key)) {
-        status = RequestStatus::kStoreFull;
-      } else if (sync_ack_ && !replication_->AwaitReplicated()) {
-        status = RequestStatus::kRetry;
-      }
+      if (!store_->Get(req.key, out)) return RequestStatus::kNotFound;
+      committed = store_->PutSynthetic(req.key);
       break;
     case OpType::kScan: {
-      std::vector<Key>* out = req.scan_out;
-      if (out == nullptr) {
+      std::vector<Key>* keys = req.scan_out;
+      if (keys == nullptr) {
         scratch.scan.clear();
-        out = &scratch.scan;
+        keys = &scratch.scan;
       }
-      store_->Scan(req.key, req.scan_len, out);
-      break;
+      store_->Scan(req.key, req.scan_len, keys);
+      return RequestStatus::kOk;
     }
   }
-  if (req.latency != nullptr && req.start_nanos != 0) {
-    req.latency->Record(NowNanos() - req.start_nanos);
+  if (!committed) return RequestStatus::kStoreFull;
+  // Locally durable. Under semi-sync its kOk must wait for the batch's
+  // replication ack: note the watermark that covers exactly this write.
+  if (sync_ack_) {
+    scratch.marks.push_back(replication_->log()->ThisThreadWatermark());
   }
-  if (req.done) req.done(status);
+  return RequestStatus::kOk;
 }
 
 }  // namespace pieces::service

@@ -17,6 +17,14 @@
 // everything already queued before joining, so accepted requests always
 // complete.
 //
+// Semi-sync replication (AckMode::kReplicated) acks per batch, not per
+// write: a worker runs its batch in queue order, completing requests
+// inline until the first write commits locally. From then on it holds
+// back every completion, waits once for the replication watermark of its
+// latest write, and completes the held-back requests in batch order —
+// each write kOk iff the replica applied it, else kRetry. kLocal shards
+// never hold anything back.
+//
 // Live rebalancing support: BeginRetire() flips the shard into a state
 // where every Enqueue returns kRetired (including producers blocked in
 // kBlock admission). The router treats kRetired as "the partition moved
@@ -68,12 +76,14 @@ class Shard {
 
   // Attaches the shard's replication session (router wiring, before
   // Start). The shared_ptr pins the session for as long as any worker
-  // might await an ack on it. With `sync_ack`, every locally durable
-  // write additionally awaits the replication watermark before acking
-  // kOk (AckMode::kReplicated); an ack timeout or dead link degrades the
-  // write to kRetry. The await runs on the worker thread against the
-  // independent shipper thread, so it cannot deadlock request execution
-  // — and it is bounded by the session's ack_timeout_us regardless.
+  // might await an ack on it. With `sync_ack` (AckMode::kReplicated), a
+  // locally durable write acks kOk only once the replica applied it: the
+  // worker holds back the batch's completions from its first committed
+  // write on and awaits the replication watermark once per batch; each
+  // write the wait did not cover (ack timeout, dead link) degrades to
+  // kRetry. The await runs on the worker thread against the independent
+  // shipper thread, so it cannot deadlock request execution — and it is
+  // bounded by the session's ack_timeout_us, once per batch, regardless.
   void AttachReplication(
       std::shared_ptr<replication::ReplicaSession> session, bool sync_ack);
 
@@ -135,6 +145,12 @@ class Shard {
     std::vector<uint8_t*> mget_outs;
     std::unique_ptr<bool[]> mget_found;
     size_t mget_found_cap = 0;
+    // The semi-sync group (sync_ack_ only): the log watermark of each
+    // write the batch committed locally, in commit order, and the
+    // statuses of the requests held back behind them — the batch's
+    // suffix from its first such write on.
+    std::vector<uint64_t> marks;
+    std::vector<RequestStatus> held;
   };
 
   // One writer's queue. All lane state is guarded by the shard-wide mu_
@@ -147,10 +163,18 @@ class Shard {
 
   size_t LaneOf(Key key) const;
   void WorkerLoop(size_t lane);
+  // Executes the batch in queue order and completes every request; under
+  // sync_ack_, the suffix from the first locally committed write on
+  // completes after one replication wait for the whole group.
   void ExecuteBatch(std::vector<Request>& batch, Scratch& scratch);
   // Multi-get for a run of >= 2 consecutive kRead requests.
   void ExecuteReadRun(Request* reqs, size_t n, Scratch& scratch);
-  void Execute(Request& req, Scratch& scratch);
+  // Runs one request against the store and returns its local outcome; a
+  // committed write under sync_ack_ also appends its watermark to marks.
+  RequestStatus Execute(Request& req, Scratch& scratch);
+  // Completes `req` now, or holds its status back once the batch has a
+  // write awaiting the replication ack.
+  void Settle(Request& req, RequestStatus status, Scratch& scratch);
 
   const size_t id_;
   const size_t queue_capacity_;

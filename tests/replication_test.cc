@@ -75,6 +75,13 @@ std::vector<uint8_t> OpValue(uint64_t tag) {
   return v;
 }
 
+// The semi-sync ack of the calling thread's latest put, as a group of
+// one write.
+bool AwaitOwnPut(ReplicaSession& session) {
+  const uint64_t mark = session.log()->ThisThreadWatermark();
+  return session.AwaitReplicated({&mark, 1}) == 1;
+}
+
 std::vector<Key> BaseKeys(size_t n) {
   std::vector<Key> keys;
   keys.reserve(n);
@@ -264,7 +271,7 @@ SweepFailure RunSweepPoint(const std::string& index_name, size_t ops,
       report("primary put failed at op " + std::to_string(i));
       return fail;
     }
-    const bool acked = session->AwaitReplicated();
+    const bool acked = AwaitOwnPut(*session);
     // Exact ack oracle: with the in-process transport, delivery, apply
     // and ack are one atomic step, so write #i is acked iff i < the
     // fail point.
@@ -367,9 +374,9 @@ INSTANTIATE_TEST_SUITE_P(Representative, FailoverSweepTest,
 TEST(FailoverSweepConcurrent, AckedOracleHoldsUnderConcurrentWriters) {
   // ALEX supports concurrent writers; each thread writes a disjoint key
   // range so present-in-replica is decidable per op. The in-process
-  // transport makes ack exact: AwaitReplicated() is true iff that
-  // thread's own record was delivered — so after promotion, acked ⟺
-  // present must hold in BOTH directions, per op, per thread.
+  // transport makes ack exact: a one-write AwaitReplicated() confirms
+  // iff that thread's own record was delivered — so after promotion,
+  // acked ⟺ present must hold in BOTH directions, per op, per thread.
   constexpr size_t kThreads = 3;
   constexpr size_t kOpsPerThread = 30;
   const std::vector<uint64_t> fail_points = {0, 7, 23, 45, 61,
@@ -397,7 +404,7 @@ TEST(FailoverSweepConcurrent, AckedOracleHoldsUnderConcurrentWriters) {
           const Key key = 100'000 + 1000 * t + i;  // unique per op
           std::vector<uint8_t> value = OpValue(t * 1000 + i);
           ASSERT_TRUE(primary->Put(key, value.data()));
-          const bool acked = session->AwaitReplicated();
+          const bool acked = AwaitOwnPut(*session);
           logs[t].push_back({key, acked, std::move(value)});
         }
       });
@@ -570,17 +577,42 @@ TEST(SemiSyncAck, HealthyLinkConfirmsDeadLinkDegrades) {
 
   for (uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(primary->Put(500 + i, OpValue(i).data()));
-    EXPECT_TRUE(session.AwaitReplicated()) << "op " << i;
+    EXPECT_TRUE(AwaitOwnPut(session)) << "op " << i;
   }
   session.transport()->FailAfter(0);
   for (uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(primary->Put(600 + i, OpValue(i).data()));
-    EXPECT_FALSE(session.AwaitReplicated()) << "op " << i;
+    EXPECT_FALSE(AwaitOwnPut(session)) << "op " << i;
   }
   replication::ReplicaSessionStats stats = session.Stats();
   EXPECT_TRUE(stats.dead);
   EXPECT_GE(stats.ack_failures, 5u);
   EXPECT_EQ(stats.acked, 10u);
+}
+
+// A group wait over m writes on a link that dies after k deliveries:
+// exactly the first k confirm, and every other write counts as one ack
+// failure.
+TEST(SemiSyncAck, GroupWaitConfirmsExactlyTheDeliveredPrefix) {
+  constexpr size_t kWrites = 6;
+  for (uint64_t k = 0; k <= kWrites; ++k) {
+    auto primary = MakeStore("BTree");
+    ASSERT_TRUE(primary->BulkLoad(BaseKeys(16)));
+    ReplicaSession session(MakeStore("BTree"), SessionCfg());
+    primary->SetCommitTap(session.log());
+    ASSERT_TRUE(session.SeedFromPrimary(*primary));
+    session.transport()->FailAfter(k);
+    std::vector<uint64_t> marks;
+    for (uint64_t i = 0; i < kWrites; ++i) {
+      ASSERT_TRUE(primary->Put(700 + i, OpValue(i).data()));
+      marks.push_back(session.log()->ThisThreadWatermark());
+    }
+    // Started after the puts: the shipper sees the whole group at once.
+    session.Start();
+    EXPECT_EQ(session.AwaitReplicated(marks), k) << "k=" << k;
+    EXPECT_EQ(session.Stats().ack_failures, kWrites - k) << "k=" << k;
+    EXPECT_EQ(session.AwaitReplicated({}), 0u);
+  }
 }
 
 }  // namespace

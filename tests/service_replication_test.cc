@@ -9,13 +9,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -521,6 +526,233 @@ TEST(ServiceFailover, DeadLinkCrashFailoverLosesExactlyTheUnshippedTail) {
   }
   service.Shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Semi-sync group acks: one replication wait per worker batch
+// ---------------------------------------------------------------------------
+
+// Completions of one SubmitBatch, in the order the worker fired them.
+struct CompletionLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::pair<size_t, RequestStatus>> done;
+
+  std::function<void(RequestStatus)> For(size_t i) {
+    return [this, i](RequestStatus status) {
+      std::lock_guard<std::mutex> lock(mu);
+      done.emplace_back(i, status);
+      cv.notify_all();
+    };
+  }
+  size_t count() {
+    std::lock_guard<std::mutex> lock(mu);
+    return done.size();
+  }
+  bool WaitFor(size_t n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return done.size() >= n; });
+  }
+};
+
+Request WriteOf(Key key, const std::vector<uint8_t>& value,
+                CompletionLog& log, size_t i) {
+  Request req;
+  req.type = OpType::kUpdate;
+  req.key = key;
+  req.value = value.data();
+  req.done = log.For(i);
+  return req;
+}
+
+Request ReadOf(Key key, std::vector<uint8_t>& out, CompletionLog& log,
+               size_t i) {
+  Request req;
+  req.type = OpType::kRead;
+  req.key = key;
+  req.out = out.data();
+  req.done = log.For(i);
+  return req;
+}
+
+class ServiceSemiSyncGroupAck
+    : public ::testing::TestWithParam<std::string> {
+ protected:
+  ServiceConfig Config(const std::string& tag) {
+    ServiceConfig cfg =
+        BaseConfig(GetParam(), (tag + "_" + GetParam()).c_str());
+    cfg.replication.ack = ReplicationConfig::AckMode::kReplicated;
+    return cfg;
+  }
+};
+
+// [R, W, R, W, W] in one batch on a stalled link: the leading read
+// completes inline, everything from the first write on waits for the
+// batch's one replication ack, and once the link opens the held-back
+// requests complete in batch order, all kOk.
+TEST_P(ServiceSemiSyncGroupAck, GatedLinkHoldsTheGroupUntilTheLinkOpens) {
+  const std::vector<Key> load = LoadKeys(128);
+  KvService service("BTree", Config("group_gated"), load);
+  ASSERT_TRUE(service.BulkLoad(load));
+  service.Start();
+  const size_t shard = service.ShardOf(load[0]);
+  auto session = service.replica_session(shard);
+  ASSERT_NE(session, nullptr);
+  const Key a = load[0];
+  const Key b = 500;  // below load[0]: shard 0's range
+  const Key c = 501;
+  ASSERT_EQ(service.ShardOf(a), shard);
+  ASSERT_EQ(service.ShardOf(b), shard);
+  ASSERT_EQ(service.ShardOf(c), shard);
+
+  const std::vector<uint8_t> va = TaggedValue(1);
+  const std::vector<uint8_t> vb = TaggedValue(2);
+  const std::vector<uint8_t> vc = TaggedValue(3);
+  std::vector<uint8_t> before(kValueSize);
+  std::vector<uint8_t> after(kValueSize);
+  CompletionLog log;
+  std::vector<Request> batch;
+  batch.push_back(ReadOf(a, before, log, 0));
+  batch.push_back(WriteOf(a, va, log, 1));
+  batch.push_back(ReadOf(a, after, log, 2));
+  batch.push_back(WriteOf(b, vb, log, 3));
+  batch.push_back(WriteOf(c, vc, log, 4));
+
+  session->transport()->SetGated(true);
+  service.SubmitBatch(std::move(batch));
+  ASSERT_TRUE(log.WaitFor(1)) << "the leading read never completed";
+  // Give a wrongly released completion ample time to show up.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    ASSERT_EQ(log.done.size(), 1u)
+        << "a request completed before its group was replicated";
+    EXPECT_EQ(log.done[0].first, 0u);
+    EXPECT_EQ(log.done[0].second, RequestStatus::kOk);
+  }
+
+  session->transport()->SetGated(false);
+  service.Drain();
+  ASSERT_EQ(log.count(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(log.done[i].first, i) << "completions out of batch order";
+    EXPECT_EQ(log.done[i].second, RequestStatus::kOk) << "request " << i;
+  }
+  std::vector<uint8_t> loaded(kValueSize);
+  FillSyntheticRecordValue(a, loaded.data(), loaded.size());
+  EXPECT_EQ(before, loaded);
+  EXPECT_EQ(after, va) << "the held-back read ran out of queue order";
+  EXPECT_EQ(session->Stats().ack_failures, 0u);
+  service.Shutdown();
+}
+
+// A group of m writes on a link that dies after k deliveries: exactly the
+// first k writes ack kOk, the rest kRetry with one ack failure each, and
+// a crash failover then keeps every kOk write and loses the m - k others.
+TEST_P(ServiceSemiSyncGroupAck, PartialDeliveryAcksExactlyTheDeliveredPrefix) {
+  constexpr size_t kWrites = 6;
+  for (uint64_t k : {uint64_t{0}, uint64_t{2}, uint64_t{5},
+                     uint64_t{kWrites}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const std::vector<Key> load = LoadKeys(64);
+    KvService service("BTree", Config("group_partial_" + std::to_string(k)),
+                      load);
+    ASSERT_TRUE(service.BulkLoad(load));
+    service.Start();
+    const size_t shard = service.ShardOf(load[0]);
+    auto session = service.replica_session(shard);
+    ASSERT_NE(session, nullptr);
+
+    std::vector<std::vector<uint8_t>> values;
+    for (size_t i = 0; i < kWrites; ++i) values.push_back(TaggedValue(i));
+    CompletionLog log;
+    std::vector<Request> batch;
+    for (size_t i = 0; i < kWrites; ++i) {
+      const Key key = 500 + i;  // fresh keys in shard 0's range
+      ASSERT_EQ(service.ShardOf(key), shard);
+      batch.push_back(WriteOf(key, values[i], log, i));
+    }
+    session->transport()->FailAfter(k);
+    service.SubmitBatch(std::move(batch));
+    service.Drain();
+
+    ASSERT_EQ(log.count(), kWrites);
+    for (size_t i = 0; i < kWrites; ++i) {
+      EXPECT_EQ(log.done[i].first, i);
+      EXPECT_EQ(log.done[i].second,
+                i < k ? RequestStatus::kOk : RequestStatus::kRetry)
+          << "write " << i;
+    }
+    EXPECT_EQ(session->Stats().ack_failures, kWrites - k);
+
+    FailoverReport report = service.FailOverShard(shard, /*graceful=*/false);
+    ASSERT_TRUE(report.ok);
+    EXPECT_EQ(report.lost_records, kWrites - k);
+    std::vector<uint8_t> out(kValueSize);
+    for (size_t i = 0; i < kWrites; ++i) {
+      if (i < k) {
+        ASSERT_EQ(service.Get(500 + i, out.data()), RequestStatus::kOk)
+            << "kOk write " << i << " lost by crash failover";
+        EXPECT_EQ(out, values[i]);
+      } else {
+        EXPECT_EQ(service.Get(500 + i, out.data()), RequestStatus::kNotFound)
+            << "kRetry write " << i << " resurrected";
+      }
+    }
+    service.Shutdown();
+  }
+}
+
+// ReplicatedAcksMakeCrashFailoverLossless with the writes sent as
+// multi-write batches, so every ack is a group ack.
+TEST_P(ServiceSemiSyncGroupAck, BatchedAcksMakeCrashFailoverLossless) {
+  const std::vector<Key> load = LoadKeys(256);
+  KvService service("BTree", Config("group_lossless"), load);
+  ASSERT_TRUE(service.BulkLoad(load));
+  service.Start();
+
+  constexpr size_t kWrites = 150;
+  constexpr size_t kBatch = 32;
+  std::vector<Key> keys;
+  std::vector<std::vector<uint8_t>> values;
+  for (uint64_t i = 0; i < kWrites; ++i) {
+    keys.push_back((i % 2 == 0) ? load[(i * 7) % load.size()]
+                                : Key{300'000 + i});
+    values.push_back(TaggedValue(i));
+  }
+  CompletionLog log;
+  for (size_t first = 0; first < kWrites; first += kBatch) {
+    std::vector<Request> batch;
+    for (size_t i = first; i < std::min(kWrites, first + kBatch); ++i) {
+      batch.push_back(WriteOf(keys[i], values[i], log, i));
+    }
+    service.SubmitBatch(std::move(batch));
+  }
+  service.Drain();
+  ASSERT_EQ(log.count(), kWrites);
+  for (const auto& [i, status] : log.done) {
+    // kOk under kReplicated means "applied on the replica".
+    ASSERT_EQ(status, RequestStatus::kOk) << "write " << i;
+  }
+  // Abrupt promotion — no catch-up wait, as if the primary just died.
+  FailoverReport report = service.FailOverShard(0, /*graceful=*/false);
+  ASSERT_TRUE(report.ok);
+  EXPECT_EQ(report.lost_records, 0u)
+      << "group acks must imply the replica already has every acked write";
+  std::vector<uint8_t> out(kValueSize);
+  for (size_t i = 0; i < kWrites; ++i) {
+    ASSERT_EQ(service.Get(keys[i], out.data()), RequestStatus::kOk)
+        << "acked write lost by crash failover, key " << keys[i];
+    EXPECT_EQ(out, values[i]);
+  }
+  service.Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ServiceSemiSyncGroupAck, ::testing::Values("viper", "disk"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 // Failover is refused cleanly when replication is off.
 TEST(ServiceFailover, RefusedWithoutReplication) {
