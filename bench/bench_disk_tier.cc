@@ -21,7 +21,6 @@
 #include "common/random.h"
 #include "common/timer.h"
 #include "store/disk_store.h"
-#include "store/io_engine.h"
 
 namespace pieces::bench {
 namespace {
@@ -265,17 +264,16 @@ void RunDiskTier(Context& ctx) {
 
   // ---- Overlapped I/O: io-engine sweep ------------------------------
   // Cold 5% pool, GetBatch(64) probes spread one-key-per-page: the
-  // serial engine blocks once per page, the overlapped engines once per
-  // batch — `waits_per_batch` and `io_max_inflight` are the whole story.
+  // serial engine blocks once per page, the threads engine once per
+  // batch — `waits_per_batch` and `io_max_inflight` show the overlap,
+  // `kops` whether it pays on this device.
   ctx.sink.Section(
       "overlapped I/O: engine sweep on cold 5% pool, GetBatch(64) with "
       "one key per page (blocking waits per batch)");
   {
-    std::vector<std::string> engines = {"serial", "threads"};
-    if (IoUringAvailable()) engines.push_back("uring");
     const std::vector<Key> keys = LoadKeys("ycsb", n);
     const size_t batch = 64;
-    for (const std::string& engine : engines) {
+    for (const std::string engine : {"serial", "threads"}) {
       DiskStore::Config cfg = DiskConfig(ctx, keys.size(), 0.05, file_id++);
       cfg.io_engine = engine;
       DiskStore store(MakeIndex("PGM"), cfg);

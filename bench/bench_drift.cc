@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "service/loadgen.h"
+#include "bench/loadgen.h"
 #include "workload/drift.h"
 
 namespace pieces::bench {

@@ -21,7 +21,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
-#include "service/loadgen.h"
+#include "bench/loadgen.h"
 
 namespace pieces::bench {
 namespace {

@@ -790,6 +790,8 @@ RebalanceAction ChooseRebalanceAction(const std::vector<double>& depths,
 }
 
 void KvService::RebalanceLoop() {
+  // Pressure smoothing: ewma += kEwmaAlpha * (depth - ewma).
+  constexpr double kEwmaAlpha = 0.3;
   const RebalanceConfig& rb = config_.rebalance;
   uint64_t last_version = 0;
   std::vector<double> ewma;
@@ -810,7 +812,7 @@ void KvService::RebalanceLoop() {
       keys.resize(snap->slots.size());
       for (size_t i = 0; i < snap->slots.size(); ++i) {
         const Shard& shard = *snap->slots[i].shard;
-        ewma[i] += rb.ewma_alpha *
+        ewma[i] += kEwmaAlpha *
                    (static_cast<double>(shard.QueueDepth()) - ewma[i]);
         keys[i] = shard.store().size();
       }

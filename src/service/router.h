@@ -95,14 +95,13 @@ class RangePartition {
 };
 
 // Automatic split/merge policy (off by default). The rebalancer samples
-// every shard's queue depth each poll interval, smooths it with an EWMA,
-// and splits the hottest shard when its pressure crosses the threshold —
-// the signal the paper's single-writer bottleneck shows up as first.
+// every shard's queue depth each poll interval, smooths it with an EWMA
+// (ewma += 0.3 * (depth - ewma)), and splits the hottest shard when its
+// pressure crosses the threshold — the signal the paper's single-writer
+// bottleneck shows up as first.
 struct RebalanceConfig {
   bool enabled = false;
   uint64_t poll_interval_ms = 5;
-  // Pressure smoothing: ewma += alpha * (depth - ewma).
-  double ewma_alpha = 0.3;
   // Split when a shard's smoothed queue depth exceeds this many requests;
   // 0 means 3/4 of ServiceConfig::queue_capacity.
   size_t split_queue_depth = 0;

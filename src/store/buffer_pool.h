@@ -14,10 +14,10 @@
 // mutex; frame *bytes* are accessed outside it under pin protection,
 // which is safe because a pinned frame is never evicted or re-mapped.
 //
-// Fetches are asynchronous (store/io_engine.h): a miss claims a frame
-// under the mutex, marks it `loading`, and reads it through the IoEngine
-// *outside* the mutex, so concurrent misses on different pages overlap
-// on the device instead of serializing behind the pool lock. Concurrent
+// Fetches run outside the pool lock (store/io_engine.h): a miss claims a
+// frame under the mutex, marks it `loading`, and reads it through the
+// IoEngine *outside* the mutex, so concurrent misses on different pages
+// overlap on the device instead of serializing behind the pool lock. Concurrent
 // misses on the same page deduplicate: the second caller parks on a
 // condvar until the in-flight fetch lands (counted in dedup_waits).
 // PinSpan extends a demand pin with a model-error-bound readahead span —
@@ -52,10 +52,8 @@ enum class PinStatus { kOk, kAllPinned, kIoError };
 class BufferPool {
  public:
   // `frames` capacity in pages (>= 1). `engine_kind` selects the fetch
-  // backend ("serial" | "threads" | "uring" | "auto"; see
-  // store/io_engine.h). The bare-pool default stays "serial" so pool
-  // unit tests keep deterministic one-wait-per-page accounting;
-  // DiskStore passes its configured engine.
+  // backend ("serial" | "threads"; see store/io_engine.h). DiskStore
+  // passes its configured engine, which also defaults to "serial".
   BufferPool(PageStore* store, size_t frames,
              const std::string& engine_kind = "serial");
   // Test seam: inject an engine double (e.g. one that fails reads).

@@ -30,8 +30,7 @@ DiskStore::DiskStore(std::unique_ptr<OrderedIndex> index,
                  .page_size = config.page_size,
                  .max_pages = std::max<size_t>(
                      1, config.file_capacity / std::max<size_t>(
-                                                   1, config.page_size)),
-                 .unlink_on_close = config.unlink_on_close}),
+                                                   1, config.page_size))}),
       pool_(&pages_, std::max<size_t>(1, config.pool_pages),
             config.io_engine) {
   config_.group_commit_ops = std::max<size_t>(1, config_.group_commit_ops);

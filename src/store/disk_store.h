@@ -28,11 +28,12 @@
 // commits up to group_commit_ops queued puts as one run under one
 // barrier pair (1 = a group of one, two barriers per put).
 //
-// Reads route through the buffer pool's async IoEngine
-// (store/io_engine.h): GetBatch prefetches a tile's distinct missing
-// pages in one engine batch, and — when `readahead_max_pages` > 0 and
-// the index has a bounded model — Get pins the predicted-rank page span
-// (slot ± err) in one burst instead of faulting pages one by one.
+// Reads route through the buffer pool's IoEngine (store/io_engine.h;
+// "serial" unless `io_engine` says "threads"): GetBatch prefetches a
+// tile's distinct missing pages in one engine batch, and — when
+// `readahead_max_pages` > 0 and the index has a bounded model — Get pins
+// the predicted-rank page span (slot ± err) in one burst instead of
+// faulting pages one by one.
 #ifndef PIECES_STORE_DISK_STORE_H_
 #define PIECES_STORE_DISK_STORE_H_
 
@@ -58,14 +59,11 @@ class DiskStore : public RecordCore {
     // this as a fraction of the dataset's page count.
     size_t pool_pages = 256;
     size_t file_capacity = size_t{1} << 30;
-    // Backing file path (required). The file is created/truncated.
+    // Backing file path (required). The file is created/truncated, and
+    // removed when the store is destroyed.
     std::string path;
-    // Remove the backing file on destruction (--data-dir cleanup).
-    bool unlink_on_close = true;
-    // Fetch backend: "serial" | "threads" | "uring" | "auto"; empty
-    // reads PIECES_IO_ENGINE, then "auto" (uring when the kernel has
-    // it, else the thread pool). See store/io_engine.h.
-    std::string io_engine;
+    // Fetch backend: "serial" | "threads". See store/io_engine.h.
+    std::string io_engine = "serial";
     // Error-bound readahead: cap (in pages) on the predicted span a
     // lookup pins in one burst. 0 disables — every Get faults exactly
     // its target page, the PR 8 behavior.
@@ -105,7 +103,7 @@ class DiskStore : public RecordCore {
   PageStore& mutable_pages() { return pages_; }
   const PageStore& pages() const { return pages_; }
   const BufferPool& pool() const { return pool_; }
-  // The fetch backend actually in use ("serial" / "threads" / "uring").
+  // The fetch backend actually in use ("serial" / "threads").
   std::string_view io_engine_name() const { return pool_.engine().name(); }
 
  private:

@@ -1,24 +1,15 @@
 #include "store/io_engine.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#if defined(__linux__) && __has_include(<linux/io_uring.h>)
-#define PIECES_HAVE_URING 1
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#endif
 
 namespace pieces {
 
@@ -44,7 +35,7 @@ bool ReadOnePage(int fd, size_t page_size, const IoFetch& fetch) {
   return true;
 }
 
-// ---- serial: the PR 8 baseline, one blocking wait per page ----------
+// ---- serial: the default, one blocking wait per page ---------------
 
 class SerialIoEngine : public IoEngine {
  public:
@@ -67,12 +58,12 @@ class SerialIoEngine : public IoEngine {
   size_t page_size_;
 };
 
-// ---- threads: pread worker pool, the portable overlapped fallback ---
+// ---- threads: pread worker pool, one wait per batch ----------------
 
 class ThreadPoolIoEngine : public IoEngine {
  public:
-  ThreadPoolIoEngine(int fd, size_t page_size, size_t workers)
-      : fd_(fd), page_size_(page_size), num_workers_(workers) {}
+  ThreadPoolIoEngine(int fd, size_t page_size)
+      : fd_(fd), page_size_(page_size) {}
 
   ~ThreadPoolIoEngine() override {
     {
@@ -120,7 +111,7 @@ class ThreadPoolIoEngine : public IoEngine {
         queue_.pop_front();
       }
     }
-    NoteBatch(n, /*waits=*/1, /*inflight=*/std::min(n, num_workers_ + 1));
+    NoteBatch(n, /*waits=*/1, /*inflight=*/std::min(n, kWorkers + 1));
     return batch->ok.load(std::memory_order_relaxed);
   }
 
@@ -149,7 +140,7 @@ class ThreadPoolIoEngine : public IoEngine {
 
   void EnsureWorkersLocked() {
     if (!workers_.empty()) return;
-    for (size_t i = 0; i < num_workers_; ++i) {
+    for (size_t i = 0; i < kWorkers; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
@@ -172,9 +163,12 @@ class ThreadPoolIoEngine : public IoEngine {
     }
   }
 
+  // Pool size: enough to overlap a tile's misses without outnumbering
+  // the shard workers on a small machine.
+  static constexpr size_t kWorkers = 4;
+
   int fd_;
   size_t page_size_;
-  size_t num_workers_;
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -183,274 +177,21 @@ class ThreadPoolIoEngine : public IoEngine {
   bool stop_ = false;                         // under queue_mu_
 };
 
-#ifdef PIECES_HAVE_URING
-
-// ---- uring: real submission/completion ring, raw syscalls -----------
-
-int SysIoUringSetup(unsigned entries, struct io_uring_params* p) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, p));
-}
-
-int SysIoUringEnter(int ring_fd, unsigned to_submit, unsigned min_complete,
-                    unsigned flags) {
-  return static_cast<int>(::syscall(__NR_io_uring_enter, ring_fd, to_submit,
-                                    min_complete, flags, nullptr, 0));
-}
-
-int SysIoUringRegister(int ring_fd, unsigned opcode, const void* arg,
-                       unsigned nr_args) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_register, ring_fd, opcode, arg, nr_args));
-}
-
-inline unsigned LoadAcquire(const unsigned* p) {
-  return __atomic_load_n(p, __ATOMIC_ACQUIRE);
-}
-inline void StoreRelease(unsigned* p, unsigned v) {
-  __atomic_store_n(p, v, __ATOMIC_RELEASE);
-}
-
-class UringIoEngine : public IoEngine {
- public:
-  // nullptr when the kernel refuses the ring (caller falls back).
-  static std::unique_ptr<UringIoEngine> Create(int fd, size_t page_size) {
-    auto engine =
-        std::unique_ptr<UringIoEngine>(new UringIoEngine(fd, page_size));
-    if (!engine->Init()) return nullptr;
-    return engine;
-  }
-
-  ~UringIoEngine() override {
-    if (sq_ring_ != MAP_FAILED) ::munmap(sq_ring_, sq_ring_bytes_);
-    if (cq_ring_ != MAP_FAILED) ::munmap(cq_ring_, cq_ring_bytes_);
-    if (sqes_ != MAP_FAILED) ::munmap(sqes_, sqe_bytes_);
-    if (ring_fd_ >= 0) ::close(ring_fd_);
-  }
-
-  std::string_view name() const override { return "uring"; }
-
-  bool ReadBatch(std::span<const IoFetch> fetches) override {
-    const size_t n = fetches.size();
-    if (n == 0) return true;
-    // One ring, one submitter at a time: batches from concurrent callers
-    // serialize on the ring mutex but every page *within* a batch is in
-    // flight together.
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    bool ok = true;
-    size_t submitted = 0;
-    size_t completed = 0;
-    size_t peak_inflight = 0;
-    while (completed < n) {
-      // Fill the submission ring with as much of the batch as fits.
-      unsigned head = LoadAcquire(sq_head_);
-      unsigned tail = *sq_tail_;
-      unsigned to_submit = 0;
-      while (submitted < n && tail - head < sq_entries_) {
-        const unsigned idx = tail & sq_mask_;
-        struct io_uring_sqe* sqe = &sqes_[idx];
-        std::memset(sqe, 0, sizeof(*sqe));
-        sqe->opcode = IORING_OP_READ;
-        sqe->fd = registered_file_ ? 0 : fd_;
-        if (registered_file_) sqe->flags = IOSQE_FIXED_FILE;
-        sqe->addr = reinterpret_cast<uint64_t>(fetches[submitted].out);
-        sqe->len = static_cast<uint32_t>(page_size_);
-        sqe->off = static_cast<uint64_t>(fetches[submitted].page) *
-                   static_cast<uint64_t>(page_size_);
-        sqe->user_data = submitted;
-        sq_array_[idx] = idx;
-        ++tail;
-        ++to_submit;
-        ++submitted;
-      }
-      StoreRelease(sq_tail_, tail);
-      const size_t inflight = submitted - completed;
-      peak_inflight = std::max(peak_inflight, inflight);
-      // Wait for at least one completion (all of them once everything is
-      // submitted) so the ring drains and frees submission slots.
-      const unsigned want = submitted == n
-                                ? static_cast<unsigned>(n - completed)
-                                : 1;
-      int ret = SysIoUringEnter(ring_fd_, to_submit, want,
-                                IORING_ENTER_GETEVENTS);
-      if (ret < 0 && errno != EINTR && errno != EAGAIN && errno != EBUSY) {
-        // The ring is wedged; finish the batch with blocking preads.
-        for (size_t i = completed; i < n; ++i) {
-          ok = ReadOnePage(fd_, page_size_, fetches[i]) && ok;
-        }
-        // Unreaped completions of already-submitted reads target the
-        // same buffers with the same bytes; drain them so the next
-        // batch starts on an empty ring.
-        DrainCompletions([](const io_uring_cqe&) {});
-        NoteBatch(n, /*waits=*/1, peak_inflight);
-        return ok;
-      }
-      completed += DrainCompletions([&](const io_uring_cqe& cqe) {
-        const IoFetch& f = fetches[cqe.user_data];
-        if (cqe.res < 0) {
-          // Transient or hard failure: one blocking retry decides.
-          ok = ReadOnePage(fd_, page_size_, f) && ok;
-        } else if (static_cast<size_t>(cqe.res) < page_size_) {
-          // Sparse/short tail reads as zeros, like PageStore::ReadPage.
-          std::memset(f.out + cqe.res, 0,
-                      page_size_ - static_cast<size_t>(cqe.res));
-        }
-      });
-    }
-    NoteBatch(n, /*waits=*/1, peak_inflight);
-    return ok;
-  }
-
- private:
-  UringIoEngine(int fd, size_t page_size)
-      : fd_(fd), page_size_(page_size) {}
-
-  bool Init() {
-    struct io_uring_params params;
-    std::memset(&params, 0, sizeof(params));
-    ring_fd_ = SysIoUringSetup(kEntries, &params);
-    if (ring_fd_ < 0) return false;
-    sq_entries_ = params.sq_entries;
-    sq_ring_bytes_ = params.sq_off.array + params.sq_entries * sizeof(unsigned);
-    cq_ring_bytes_ =
-        params.cq_off.cqes + params.cq_entries * sizeof(struct io_uring_cqe);
-    sq_ring_ = ::mmap(nullptr, sq_ring_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQ_RING);
-    cq_ring_ = ::mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_CQ_RING);
-    sqe_bytes_ = params.sq_entries * sizeof(struct io_uring_sqe);
-    sqes_ = static_cast<struct io_uring_sqe*>(
-        ::mmap(nullptr, sqe_bytes_, PROT_READ | PROT_WRITE,
-               MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQES));
-    if (sq_ring_ == MAP_FAILED || cq_ring_ == MAP_FAILED ||
-        sqes_ == MAP_FAILED) {
-      return false;
-    }
-    auto* sq = static_cast<uint8_t*>(sq_ring_);
-    sq_head_ = reinterpret_cast<unsigned*>(sq + params.sq_off.head);
-    sq_tail_ = reinterpret_cast<unsigned*>(sq + params.sq_off.tail);
-    sq_mask_ = *reinterpret_cast<unsigned*>(sq + params.sq_off.ring_mask);
-    sq_array_ = reinterpret_cast<unsigned*>(sq + params.sq_off.array);
-    auto* cq = static_cast<uint8_t*>(cq_ring_);
-    cq_head_ = reinterpret_cast<unsigned*>(cq + params.cq_off.head);
-    cq_tail_ = reinterpret_cast<unsigned*>(cq + params.cq_off.tail);
-    cq_mask_ = *reinterpret_cast<unsigned*>(cq + params.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<struct io_uring_cqe*>(cq + params.cq_off.cqes);
-    // Registered fd: saves one fdtable lookup per op; optional.
-    registered_file_ =
-        fd_ >= 0 &&
-        SysIoUringRegister(ring_fd_, IORING_REGISTER_FILES, &fd_, 1) == 0;
-    return true;
-  }
-
-  // Reaps every pending completion, invoking `fn` per cqe; returns count.
-  template <typename Fn>
-  size_t DrainCompletions(Fn fn) {
-    size_t reaped = 0;
-    unsigned head = *cq_head_;
-    const unsigned tail = LoadAcquire(cq_tail_);
-    while (head != tail) {
-      fn(cqes_[head & cq_mask_]);
-      ++head;
-      ++reaped;
-    }
-    StoreRelease(cq_head_, head);
-    return reaped;
-  }
-
-  static constexpr unsigned kEntries = 128;
-
-  int fd_;
-  size_t page_size_;
-  int ring_fd_ = -1;
-  bool registered_file_ = false;
-
-  std::mutex ring_mu_;
-  void* sq_ring_ = MAP_FAILED;
-  void* cq_ring_ = MAP_FAILED;
-  struct io_uring_sqe* sqes_ =
-      static_cast<struct io_uring_sqe*>(MAP_FAILED);
-  size_t sq_ring_bytes_ = 0;
-  size_t cq_ring_bytes_ = 0;
-  size_t sqe_bytes_ = 0;
-  unsigned sq_entries_ = 0;
-  unsigned* sq_head_ = nullptr;
-  unsigned* sq_tail_ = nullptr;
-  unsigned sq_mask_ = 0;
-  unsigned* sq_array_ = nullptr;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned cq_mask_ = 0;
-  struct io_uring_cqe* cqes_ = nullptr;
-};
-
-#endif  // PIECES_HAVE_URING
-
-size_t IoThreads() {
-  const char* v = std::getenv("PIECES_IO_THREADS");
-  if (v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    unsigned long parsed = std::strtoul(v, &end, 10);
-    if (end != v && *end == '\0' && parsed >= 1 && parsed <= 64) {
-      return static_cast<size_t>(parsed);
-    }
-  }
-  return 4;
-}
-
-void NoteFallback(const char* from, const char* to, const char* why) {
-  static std::mutex mu;
-  static bool warned = false;
-  std::lock_guard<std::mutex> lock(mu);
-  if (!warned) {
-    std::fprintf(stderr, "pieces: io_engine '%s' %s; using '%s'\n", from,
-                 why, to);
-    warned = true;
-  }
-}
-
 }  // namespace
-
-bool IoUringAvailable() {
-#ifdef PIECES_HAVE_URING
-  static const bool available = [] {
-    struct io_uring_params params;
-    std::memset(&params, 0, sizeof(params));
-    int fd = SysIoUringSetup(4, &params);
-    if (fd < 0) return false;
-    ::close(fd);
-    return true;
-  }();
-  return available;
-#else
-  return false;
-#endif
-}
 
 std::unique_ptr<IoEngine> MakeIoEngine(const std::string& kind, int fd,
                                        size_t page_size) {
-  std::string resolved = kind;
-  if (resolved.empty()) {
-    const char* env = std::getenv("PIECES_IO_ENGINE");
-    resolved = env == nullptr ? "" : env;
+  if (kind == "threads") {
+    return std::make_unique<ThreadPoolIoEngine>(fd, page_size);
   }
-  if (resolved.empty()) resolved = "auto";
-  if (resolved != "serial" && resolved != "threads" && resolved != "uring" &&
-      resolved != "auto") {
-    NoteFallback(resolved.c_str(), "auto", "is not a known engine");
-    resolved = "auto";
-  }
-  if (resolved == "auto") {
-    resolved = IoUringAvailable() ? "uring" : "threads";
-  }
-  if (resolved == "uring") {
-#ifdef PIECES_HAVE_URING
-    if (auto engine = UringIoEngine::Create(fd, page_size)) return engine;
-#endif
-    NoteFallback("uring", "threads", "is unavailable on this kernel");
-    resolved = "threads";
-  }
-  if (resolved == "threads") {
-    return std::make_unique<ThreadPoolIoEngine>(fd, page_size, IoThreads());
+  if (kind != "serial") {
+    static std::once_flag warned;
+    std::call_once(warned, [&] {
+      std::fprintf(stderr,
+                   "pieces: io_engine '%s' is not a known engine; using "
+                   "'serial'\n",
+                   kind.c_str());
+    });
   }
   return std::make_unique<SerialIoEngine>(fd, page_size);
 }

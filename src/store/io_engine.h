@@ -1,20 +1,16 @@
-// IoEngine: the asynchronous block-read layer under the disk tier. The
-// buffer pool hands an engine a *batch* of page fetches (all the misses
-// of a tile, or a readahead span) and the engine overlaps them against
-// the device, so a cold lookup costs one I/O burst instead of a
-// pointer-chase of blocking preads. Three implementations, selected at
-// runtime (`disk.io_engine` / PIECES_IO_ENGINE):
+// IoEngine: the block-read layer under the disk tier. The buffer pool
+// hands an engine a *batch* of page fetches (all the misses of a tile,
+// or a readahead span). Two implementations, selected by name
+// (`disk.io_engine`):
 //
-//  * "serial"  — one blocking pread per page, in order. The PR 8
-//    baseline; every page is its own blocking wait.
-//  * "threads" — a small pread worker pool; the submitting thread also
-//    steals work, so a batch completes in ~ceil(n/workers) device round
-//    trips. The portable fallback with io_uring-identical semantics.
-//  * "uring"   — a real io_uring submission/completion ring (raw
-//    syscalls, no liburing dependency) with the store fd registered;
-//    whole batches go to the kernel in one io_uring_enter and complete
-//    out of order. Probed at runtime (IoUringAvailable); "auto" picks
-//    uring when the kernel supports it, else threads.
+//  * "serial"  — one blocking pread per page, in order; every page is
+//    its own blocking wait. The default: with reads served from the OS
+//    page cache it is as fast as overlapping them, and it runs the same
+//    code on every kernel.
+//  * "threads" — a pool of four pread workers; the submitting thread
+//    also steals work, so a batch costs the caller one wait and
+//    completes in ~ceil(n/5) device round trips. Overlap pays only when
+//    a fetch waits on a real device.
 //
 // Contract (identical across engines, enforced by the conformance and
 // differential-parity tests): ReadBatch returns only when every fetch in
@@ -88,17 +84,8 @@ class IoEngine {
   std::atomic<uint64_t> max_inflight_{0};
 };
 
-// True when this kernel accepts io_uring_setup (probed once, cached).
-// Sandboxes and old kernels return false; "auto" then falls back to the
-// thread-pool engine.
-bool IoUringAvailable();
-
-// Resolves `kind` ("serial" | "threads" | "uring" | "auto"; empty reads
-// PIECES_IO_ENGINE, then "auto") and builds the engine over `fd`. An
-// explicit "uring" on a kernel without support falls back to "threads"
-// with a one-line stderr note rather than failing — the knob requests a
-// strategy, not a hard dependency. Unknown names fall back to "auto"
-// with the same note.
+// Builds the engine named `kind` ("serial" | "threads") over `fd`. Any
+// other name builds "serial", with a one-line stderr note the first time.
 std::unique_ptr<IoEngine> MakeIoEngine(const std::string& kind, int fd,
                                        size_t page_size);
 

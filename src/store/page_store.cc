@@ -37,7 +37,7 @@ PageStore::PageStore(std::string path, const Options& opts)
 PageStore::~PageStore() {
   if (fd_ >= 0) {
     ::close(fd_);
-    if (opts_.unlink_on_close) ::unlink(path_.c_str());
+    ::unlink(path_.c_str());
   }
 }
 

@@ -45,14 +45,11 @@ class PageStore {
     size_t page_size = 4096;
     // Capacity guard: AllocatePage fails past this many pages.
     size_t max_pages = size_t{1} << 20;
-    // Remove the backing file on destruction (bench/test hygiene; the
-    // --data-dir cleanup contract relies on this).
-    bool unlink_on_close = true;
   };
 
-  // Opens (creating + truncating) `path`. On failure ok() is false and
-  // error() holds a human-readable reason; every other call is then
-  // invalid.
+  // Opens (creating + truncating) `path`; the destructor removes the
+  // file. On failure ok() is false and error() holds a human-readable
+  // reason; every other call is then invalid.
   PageStore(std::string path, const Options& opts);
   ~PageStore();
 

@@ -1,11 +1,10 @@
-// IoEngine conformance and parity tests: every engine ("serial",
-// "threads", and "uring" when the kernel has it) must return identical
-// bytes for identical batches — in-order, shuffled, duplicated, and
-// sparse (never-written pages read as zeros) — and charge waits per its
-// documented shape (serial: one per page; overlapped: one per batch).
-// The differential half runs the same mixed DiskStore op stream under
-// each engine and demands byte-identical outputs, so the uring fast path
-// can never drift from the portable fallback.
+// IoEngine conformance and parity tests: both engines ("serial" and
+// "threads") must return identical bytes for identical batches —
+// in-order, shuffled, duplicated, and sparse (never-written pages read
+// as zeros) — and charge waits per their documented shape (serial: one
+// per page; threads: one per batch). The differential half runs the same
+// mixed DiskStore op stream under each engine and demands byte-identical
+// outputs, so the overlapped path can never drift from the serial one.
 #include "store/io_engine.h"
 
 #include <fcntl.h>
@@ -78,20 +77,13 @@ class StampedFile {
   int fd_ = -1;
 };
 
-class IoEngineConformanceTest : public testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override {
-    if (std::string(GetParam()) == "uring" && !IoUringAvailable()) {
-      GTEST_SKIP() << "io_uring not available on this kernel";
-    }
-  }
-};
+using IoEngineConformanceTest = testing::TestWithParam<const char*>;
 
 TEST_P(IoEngineConformanceTest, BatchesOfEveryShapeReadExactBytes) {
   StampedFile file("ioconf");
   auto engine = MakeIoEngine(GetParam(), file.fd(), kPageSize);
   ASSERT_NE(engine, nullptr);
-  // An explicit non-auto kind must resolve to itself when available.
+  // A known kind must resolve to itself.
   EXPECT_EQ(engine->name(), std::string_view(GetParam()));
 
   std::mt19937_64 rng(42);
@@ -126,7 +118,7 @@ TEST_P(IoEngineConformanceTest, BatchesOfEveryShapeReadExactBytes) {
     EXPECT_EQ(stats.waits, total_pages);
     EXPECT_EQ(stats.max_inflight, 1u);
   } else {
-    // ...overlapped engines one per batch, with real depth.
+    // ...threads one per batch, with real depth.
     EXPECT_EQ(stats.waits, total_batches);
     EXPECT_GT(stats.max_inflight, 1u);
   }
@@ -177,35 +169,41 @@ TEST_P(IoEngineConformanceTest, ConcurrentBatchesFromManyThreads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, IoEngineConformanceTest,
-                         testing::Values("serial", "threads", "uring"));
+                         testing::Values("serial", "threads"));
 
 TEST(IoEngineTest, MakeIoEngineResolvesKinds) {
   StampedFile file("iomake");
-  // "auto" picks uring when available, the thread pool otherwise — never
-  // the serial baseline.
-  auto eng = MakeIoEngine("auto", file.fd(), kPageSize);
-  if (IoUringAvailable()) {
-    EXPECT_EQ(eng->name(), "uring");
-  } else {
-    EXPECT_EQ(eng->name(), "threads");
+  // The two known names build their engine; every other name, the empty
+  // one included, builds "serial".
+  const struct {
+    const char* kind;
+    const char* built;
+  } kTable[] = {
+      {"serial", "serial"},
+      {"threads", "threads"},
+      {"", "serial"},
+      {"auto", "serial"},
+      {"uring", "serial"},
+      {"zmq-over-carrier-pigeon", "serial"},
+  };
+  for (const auto& row : kTable) {
+    auto engine = MakeIoEngine(row.kind, file.fd(), kPageSize);
+    ASSERT_NE(engine, nullptr) << row.kind;
+    EXPECT_EQ(engine->name(), row.built) << "kind '" << row.kind << "'";
   }
-  // An explicit "uring" request degrades to "threads" on kernels without
-  // support instead of failing: the knob is a strategy, not a dependency.
-  auto uring = MakeIoEngine("uring", file.fd(), kPageSize);
-  ASSERT_NE(uring, nullptr);
-  if (!IoUringAvailable()) {
-    EXPECT_EQ(uring->name(), "threads");
-  }
-  // Unknown names resolve like "auto".
-  auto bogus = MakeIoEngine("zmq-over-carrier-pigeon", file.fd(), kPageSize);
-  ASSERT_NE(bogus, nullptr);
-  EXPECT_EQ(bogus->name(), eng->name());
+}
+
+TEST(IoEngineTest, DefaultDiskStoreUsesSerial) {
+  DiskStore::Config config;
+  config.path = TempPath("iodefault");
+  DiskStore store(std::make_unique<DynamicPgm>(), config);
+  ASSERT_TRUE(store.ok()) << store.error();
+  EXPECT_EQ(store.io_engine_name(), "serial");
 }
 
 TEST(IoEngineTest, HardReadErrorFailsTheBatch) {
   // A closed fd makes every pread fail: the engine must report false,
-  // not fabricate bytes. (Serial + threads; the uring engine falls back
-  // to pread on per-op errors and reports the same.)
+  // not fabricate bytes.
   for (const char* kind : {"serial", "threads"}) {
     auto engine = MakeIoEngine(kind, /*fd=*/-1, kPageSize);
     std::vector<uint8_t> buf(kPageSize, 0xaa);
@@ -228,8 +226,7 @@ DiskStore::Config EngineConfig(const char* tag, const char* engine) {
 }
 
 TEST(IoEngineTest, EnginesAreDifferentiallyIdenticalOnDiskStore) {
-  std::vector<const char*> engines = {"serial", "threads"};
-  if (IoUringAvailable()) engines.push_back("uring");
+  const std::vector<const char*> engines = {"serial", "threads"};
 
   constexpr size_t kLoad = 4000;
   constexpr size_t kOps = 2000;
