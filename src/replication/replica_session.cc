@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/spin_wait.h"
+
 namespace pieces::replication {
 
 ReplicaSession::ReplicaSession(std::unique_ptr<StoreBackend> replica_store,
@@ -23,6 +25,7 @@ bool ReplicaSession::SeedFromPrimary(const StoreBackend& primary) {
   if (!replica_.Seed(primary, start)) return false;
   std::lock_guard<std::mutex> lock(mu_);
   acked_ = start;
+  acked_mirror_.store(start, std::memory_order_release);
   return true;
 }
 
@@ -54,10 +57,9 @@ void ReplicaSession::ShipLoop() {
       if (stopping_ || dead_) return;
       next = acked_;
     }
-    if (!log_->WaitTail(next, config_.ship_interval_us)) {
-      if (log_->closed()) return;
-      continue;  // idle tick: re-check stopping_
-    }
+    // No timeout: Stop() sets stopping_ and then closes the log, which is
+    // the only way the wait returns false.
+    if (!log_->WaitTail(next, 0)) return;
     batch.clear();
     log_->Read(next, std::max<size_t>(1, config_.ship_batch), &batch);
     if (batch.empty()) continue;
@@ -67,6 +69,7 @@ void ReplicaSession::ShipLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       acked_ += delivered;
+      acked_mirror_.store(acked_, std::memory_order_release);
       if (died) dead_ = true;
       next = acked_;
     }
@@ -102,6 +105,12 @@ size_t ReplicaSession::AwaitReplicated(std::span<const uint64_t> marks) {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(config_.ack_timeout_us);
+  // A shard worker spins on the published watermark before it parks
+  // (DESIGN.md, "Shard = store + index + worker lanes + bounded queue");
+  // the locked wait below still decides, against the same deadline.
+  SpinUntil([&] {
+    return acked_mirror_.load(std::memory_order_acquire) >= target;
+  });
   uint64_t reached;
   {
     std::unique_lock<std::mutex> lock(mu_);

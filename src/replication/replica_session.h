@@ -25,7 +25,10 @@
 // completions of its batch from the first locally durable write on, then
 // calls AwaitReplicated() once for the whole group. kOk then means "on
 // the replica too"; each write the wait did not cover — a dead or
-// stalled link — degrades to kRetry instead of blocking forever.
+// stalled link — degrades to kRetry instead of blocking forever. That
+// worker spins briefly on the acked watermark before it parks; the
+// shipper itself always parks (DESIGN.md, the wait rule under "Shard =
+// store + index + worker lanes + bounded queue").
 #ifndef PIECES_REPLICATION_REPLICA_SESSION_H_
 #define PIECES_REPLICATION_REPLICA_SESSION_H_
 
@@ -64,10 +67,9 @@ struct ReplicationConfig {
   };
   ReadPolicy reads = ReadPolicy::kOff;
 
-  // Shipper batching: at most ship_batch records per transport call; an
-  // idle shipper re-checks for work every ship_interval_us.
+  // Shipper batching: at most ship_batch records per transport call. An
+  // idle shipper parks until the log grows or the session stops.
   size_t ship_batch = 64;
-  uint64_t ship_interval_us = 200;
   // kWait read gate bound before the read bounces to the primary.
   uint64_t read_wait_timeout_us = 2000;
   // kReplicated ack bound before a locally durable write degrades to
@@ -158,6 +160,9 @@ class ReplicaSession {
   mutable std::mutex mu_;
   std::condition_variable acked_cv_;
   uint64_t acked_ = 0;  // delivered-and-applied log prefix
+  // acked_, republished after each update under mu_ for AwaitReplicated's
+  // lock-free spin.
+  std::atomic<uint64_t> acked_mirror_{0};
   bool dead_ = false;
   bool stopping_ = false;
   bool started_ = false;

@@ -57,9 +57,12 @@ void ReplicationLog::TruncateTo(uint64_t upto) {
 
 bool ReplicationLog::WaitTail(uint64_t beyond, uint64_t timeout_us) const {
   std::unique_lock<std::mutex> lock(mu_);
-  grew_.wait_for(lock, std::chrono::microseconds(timeout_us), [&] {
-    return closed_ || base_ + records_.size() > beyond;
-  });
+  auto ready = [&] { return closed_ || base_ + records_.size() > beyond; };
+  if (timeout_us == 0) {
+    grew_.wait(lock, ready);
+  } else {
+    grew_.wait_for(lock, std::chrono::microseconds(timeout_us), ready);
+  }
   return base_ + records_.size() > beyond;
 }
 

@@ -56,8 +56,8 @@ class ReplicationLog : public CommitTap {
   // Drops records below log index `upto` (they are shipped and applied).
   void TruncateTo(uint64_t upto);
 
-  // Blocks until tail() > `beyond`, the timeout expires, or the log is
-  // closed. Returns tail() > beyond.
+  // Blocks until tail() > `beyond`, the timeout expires (0: no timeout),
+  // or the log is closed. Returns tail() > beyond.
   bool WaitTail(uint64_t beyond, uint64_t timeout_us) const;
 
   // Wakes every waiter permanently (session teardown). Appends after

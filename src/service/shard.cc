@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/spin_wait.h"
 #include "common/timer.h"
 
 namespace pieces::service {
@@ -109,8 +110,10 @@ Shard::EnqueueResult Shard::Enqueue(std::vector<Request>&& batch,
   queued_requests_ += batch.size();
   max_queue_ = std::max<uint64_t>(max_queue_, queued_requests_);
   if (lanes_.size() == 1) {
-    lanes_[0]->queue.push_back(std::move(batch));
-    lanes_[0]->has_work.notify_one();
+    Lane& lane = *lanes_[0];
+    lane.queue.push_back(std::move(batch));
+    lane.queued.store(lane.queue.size(), std::memory_order_release);
+    lane.has_work.notify_one();
     return EnqueueResult::kAccepted;
   }
   // Split by key hash under the lock: same key -> same lane, and a later
@@ -121,8 +124,10 @@ Shard::EnqueueResult Shard::Enqueue(std::vector<Request>&& batch,
   }
   for (size_t i = 0; i < per_lane.size(); ++i) {
     if (per_lane[i].empty()) continue;
-    lanes_[i]->queue.push_back(std::move(per_lane[i]));
-    lanes_[i]->has_work.notify_one();
+    Lane& lane = *lanes_[i];
+    lane.queue.push_back(std::move(per_lane[i]));
+    lane.queued.store(lane.queue.size(), std::memory_order_release);
+    lane.has_work.notify_one();
   }
   return EnqueueResult::kAccepted;
 }
@@ -214,10 +219,19 @@ void Shard::WorkerLoop(size_t lane_idx) {
   // Built once per worker and reused across batches; Execute used to
   // re-check a thread_local per request.
   Lane& lane = *lanes_[lane_idx];
+  SpinnerScope spinner;
   Scratch scratch;
   scratch.value.resize(store_->value_size());
   for (;;) {
     std::vector<Request> batch;
+    // Spin briefly before parking, so a batch arriving within the budget
+    // costs neither side a futex wake (DESIGN.md, the wait rule). The
+    // locked predicate wait below still decides.
+    SpinUntil([&] {
+      return lane.queued.load(std::memory_order_acquire) != 0 ||
+             stopping_.load(std::memory_order_relaxed) ||
+             retired_.load(std::memory_order_relaxed);
+    });
     {
       std::unique_lock<std::mutex> lock(mu_);
       lane.has_work.wait(lock, [&] { return !lane.queue.empty() ||
@@ -230,6 +244,7 @@ void Shard::WorkerLoop(size_t lane_idx) {
       }
       batch = std::move(lane.queue.front());
       lane.queue.pop_front();
+      lane.queued.store(lane.queue.size(), std::memory_order_relaxed);
       queued_requests_ -= batch.size();
       in_flight_ += batch.size();
       has_space_.notify_all();

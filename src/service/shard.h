@@ -10,6 +10,11 @@
 // hash of their key, which keeps per-key ordering while letting distinct
 // keys execute in parallel inside the concurrent index.
 //
+// An idle worker spins briefly on its lane before it parks on the lane's
+// condvar, so a batch arriving within the budget costs no thread wake-up;
+// the wait rule (who spins, who parks, the budget) is in DESIGN.md's
+// "Shard = store + index + worker lanes + bounded queue" bullet.
+//
 // Admission control is enforced at Enqueue: the queue is bounded in
 // *requests* (not batches, summed across lanes), and a full queue either
 // blocks the producer or rejects the batch depending on the caller's
@@ -156,9 +161,12 @@ class Shard {
   // One writer's queue. All lane state is guarded by the shard-wide mu_
   // (admission control is a whole-shard property); only the has_work
   // signal is per-lane so a batch wakes exactly its lane's worker.
+  // `queued` mirrors queue.size() (written under mu_) so the worker can
+  // spin on it without the lock before it parks on has_work.
   struct Lane {
     std::condition_variable has_work;
     std::deque<std::vector<Request>> queue;
+    std::atomic<size_t> queued{0};
   };
 
   size_t LaneOf(Key key) const;
@@ -194,8 +202,9 @@ class Shard {
   size_t queued_requests_ = 0;  // requests sitting across all lane queues
   size_t in_flight_ = 0;        // requests popped but not yet completed
   uint64_t max_queue_ = 0;
-  bool stopping_ = false;
-  bool retired_ = false;
+  // Written under mu_; atomic so a spinning worker can see them unlocked.
+  std::atomic<bool> stopping_{false};
+  std::atomic<bool> retired_{false};
   bool started_ = false;
   std::vector<std::thread> workers_;
 

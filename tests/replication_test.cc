@@ -58,7 +58,6 @@ ReplicationConfig SessionCfg() {
   // Small batches against a ~40-op stream: the offset sweep crosses
   // several batch boundaries and plenty of mid-batch offsets.
   cfg.ship_batch = 8;
-  cfg.ship_interval_us = 100;
   // Generous: with the in-process transport an ack resolves as soon as
   // the shipper runs (or the link dies); the timeout only fires on a bug.
   cfg.ack_timeout_us = 5'000'000;

@@ -58,7 +58,6 @@ ServiceConfig BaseConfig(const std::string& backend, const char* tag) {
   }
   cfg.replication.enabled = true;
   cfg.replication.ship_batch = 16;
-  cfg.replication.ship_interval_us = 100;
   cfg.replication.ack_timeout_us = 5'000'000;
   return cfg;
 }
