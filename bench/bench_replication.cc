@@ -1,9 +1,10 @@
 // replication: primary->replica shipping atop the commit protocol — what
 // a shadow replica costs while healthy, and what it buys when the
-// primary dies. The shipper drains the commit log in batches through the
-// transport; lag (log tail minus applied) is the staleness budget for
-// replica reads and the loss budget for a crash failover, so the first
-// question is how lag tracks the offered write rate. The second is the
+// primary dies. The commit log drains in batches through the transport
+// (a shipper thread under async acks, the ack waiters under semi-sync);
+// lag (log tail minus applied) is the staleness budget for replica reads
+// and the loss budget for a crash failover, so the first question is how
+// lag tracks the offered write rate. The second is the
 // failover itself: promotion reuses the crash-recovery path
 // (StoreBackend::Recover rebuilds the in-memory index from the replica's
 // own durable media), so the outage window is index-dependent — exactly
@@ -171,10 +172,10 @@ void RunReplication(Context& ctx) {
   }
 
   // 2. Ack mode cost: what semi-sync acks charge for turning kOk into
-  // "applied on the replica too". Each worker batch waits once for the
-  // shipper to apply its latest write, so the price is one replication
-  // round trip per batch rather than per write: throughput drops by the
-  // hand-offs a batch cannot amortize. Both rows saturate, so no p99 is
+  // "applied on the replica too". Each worker batch ships the log up to
+  // its latest write itself, once, so the price is one replica apply per
+  // batch on the worker's critical path, with no thread hand-off: the
+  // apply a kLocal shipper thread runs off that path moves onto it. Both rows saturate, so no p99 is
   // reported: it would measure the open loop's backlog.
   ctx.sink.Section("ack mode: async (kLocal) vs semi-sync (kReplicated)");
   for (AckMode ack : {AckMode::kLocal, AckMode::kReplicated}) {

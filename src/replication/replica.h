@@ -7,7 +7,8 @@
 // own durable records) and hand the store over; the issue's failover path
 // and the crash path share one mechanism.
 //
-// Thread model: the applier takes the store exclusively per shipped batch;
+// Thread model: the applier (whichever thread holds the session's ship
+// token) takes the store exclusively per shipped batch;
 // watermark-gated client reads take it shared. Most indexes in the
 // registry are strictly single-writer, so reads never overlap an apply —
 // that exclusion is what lets replica reads work for all 14 families, not
@@ -43,7 +44,7 @@ class Replica {
 
   // Applies `records` in order through the store's Put path; returns how
   // many applied (fewer only when the replica store is full or closed).
-  // Single applier assumed (the session's shipper thread).
+  // Single applier assumed: the session's ship token admits one thread.
   size_t Apply(std::span<const LogRecord> records);
 
   // Log index one past the last applied record: the watermark replica

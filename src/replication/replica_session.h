@@ -1,6 +1,6 @@
 // ReplicaSession: one primary→replica replication link for one shard.
 // Owns the ReplicationLog (installed as the primary store's CommitTap),
-// the shipper thread that drains it in batches through a
+// the shipping step that drains it in batches through a
 // ReplicationTransport, and the Replica that applies the stream. The
 // service layer (service/router.cc) holds one session per shard next to
 // the shard itself in the routing snapshot.
@@ -11,34 +11,41 @@
 //              session; with the in-process transport acked == applied.
 //   applied  — records the replica has run through its Put path.
 //
+// Shipping: one step (ShipOnce: read up to ship_batch records past acked,
+// ship, publish acked, truncate) runs under a ship token, so records
+// reach the replica in log order through one applier at a time. A kLocal
+// session's shipper thread drives it; a kReplicated session has none, and
+// whichever ack waiter finds the token free ships, so a replicated write
+// pays the replica apply instead of a thread hand-off each way.
+//
 // Read-your-writes: a client's Put returns only after its record entered
-// the log, so a replica read taken at watermark `tail` (or the reader's
-// own ThisThreadWatermark) sees every write the client was acked — the
-// session serves the read only when applied >= watermark, else waits
-// (ReadPolicy::kWait, bounded) or bounces the read to the primary
-// (kBounce). Waits happen on submitting/client threads only, never on a
-// shard worker, and the applier that advances the watermark is the
-// independent shipper thread — so a watermark wait can never deadlock
-// against request execution (see DESIGN.md "Replication & failover").
+// the log, so a replica read served only when applied >= the log tail
+// sees every write the client was acked; otherwise it waits
+// (ReadPolicy::kWait, bounded) or bounces to the primary (kBounce). Read
+// waits run on client threads, and nothing that advances the watermark
+// waits on a read or a shard lock, so they cannot deadlock requests.
 //
 // Semi-sync acks (AckMode::kReplicated): a shard worker holds back the
 // completions of its batch from the first locally durable write on, then
 // calls AwaitReplicated() once for the whole group. kOk then means "on
 // the replica too"; each write the wait did not cover — a dead or
-// stalled link — degrades to kRetry instead of blocking forever. That
-// worker spins briefly on the acked watermark before it parks; the
-// shipper itself always parks (DESIGN.md, the wait rule under "Shard =
-// store + index + worker lanes + bounded queue").
+// stalled link — degrades to kRetry instead of blocking forever, and the
+// next waiter ships a stalled tail ahead of its own records. A waiter
+// that finds the token taken spins briefly before it parks; the kLocal
+// shipper always parks (DESIGN.md, the wait rule under "Shard = store +
+// index + worker lanes + bounded queue").
 #ifndef PIECES_REPLICATION_REPLICA_SESSION_H_
 #define PIECES_REPLICATION_REPLICA_SESSION_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
+#include <vector>
 
 #include "replication/replica.h"
 #include "replication/replication_log.h"
@@ -67,13 +74,13 @@ struct ReplicationConfig {
   };
   ReadPolicy reads = ReadPolicy::kOff;
 
-  // Shipper batching: at most ship_batch records per transport call. An
-  // idle shipper parks until the log grows or the session stops.
+  // At most ship_batch records per transport call, whichever thread ships
+  // (the kLocal shipper thread or, under kReplicated, an ack waiter).
   size_t ship_batch = 64;
   // kWait read gate bound before the read bounces to the primary.
   uint64_t read_wait_timeout_us = 2000;
   // kReplicated ack bound before a locally durable write degrades to
-  // kRetry.
+  // kRetry; it also bounds a waiter's own ship on a stalled link.
   uint64_t ack_timeout_us = 100000;
   // Injected transport latency per shipped batch (models the network
   // round trip; the lag experiment sweeps it).
@@ -110,24 +117,25 @@ class ReplicaSession {
   // seeded image. Call after the primary's bulk load, before Start.
   bool SeedFromPrimary(const StoreBackend& primary);
 
-  // Spawns / joins the shipper. Start after seeding; Stop is idempotent
-  // and wakes every watermark and ack waiter.
+  // Opens the link (spawning the shipper thread under kLocal); nothing
+  // ships before Start. Start after seeding; Stop is idempotent, wakes
+  // every watermark and ack waiter, and returns once no ship step runs.
   void Start();
   void Stop();
 
-  // Blocks until everything in the log as of the call is shipped and
-  // applied (or the link dies / the session stops / `timeout_us` elapses;
-  // 0 waits without bound). True when caught up.
+  // Ships until everything in the log as of the call is applied (or the
+  // link dies / the session stops / `timeout_us` elapses; 0 waits
+  // without bound). True when caught up.
   bool WaitCaughtUp(uint64_t timeout_us = 0);
 
   // Semi-sync ack for a group of writes the calling thread committed, in
   // commit order: marks[i] is the log watermark that covers write i
   // (log()->ThisThreadWatermark() right after its put), so the marks
-  // ascend. Blocks once, until the last mark is applied on the replica
-  // (ack_timeout_us bound), and returns how many writes the acked
-  // watermark covers — always a prefix of the group. Exact per write:
-  // write i is on the replica iff i < the result. The rest count as
-  // ack_failures.
+  // ascend. Ships (or waits for another thread's ship) until the last
+  // mark is applied on the replica, bounded by ack_timeout_us, and
+  // returns how many writes the acked watermark covers — always a prefix
+  // of the group. Exact per write: write i is on the replica iff i < the
+  // result. The rest count as ack_failures.
   size_t AwaitReplicated(std::span<const uint64_t> marks);
 
   // Watermark-gated replica read. True = the read was served here (sets
@@ -150,7 +158,16 @@ class ReplicaSession {
   Replica* replica() { return &replica_; }
 
  private:
-  void ShipLoop();
+  using Clock = std::chrono::steady_clock;
+
+  void ShipLoop();  // the kLocal shipper thread
+  // Drives acked_ to `target` (until the link dies or stalls, the session
+  // stops, or `deadline` passes): ships whenever the token is free, else
+  // waits for the holder's progress, spinning first with `spin`.
+  uint64_t ShipUntil(uint64_t target, Clock::time_point deadline, bool spin);
+  // One step from `from` (== acked_) by the token holder, which it hands
+  // back with the new acked_. Returns that acked_.
+  uint64_t ShipOnce(uint64_t from, Clock::time_point deadline);
 
   const ReplicationConfig config_;
   std::shared_ptr<ReplicationLog> log_;
@@ -166,7 +183,11 @@ class ReplicaSession {
   bool dead_ = false;
   bool stopping_ = false;
   bool started_ = false;
-  std::thread shipper_;
+  // The ship token: true while a ShipOnce runs. Written under mu_; read
+  // lock-free only by a waiter's spin.
+  std::atomic<bool> shipping_{false};
+  std::vector<LogRecord> batch_;  // ShipOnce's, reused; token holder only
+  std::thread shipper_;           // kLocal only
 
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> reads_{0};

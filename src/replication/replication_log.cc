@@ -1,5 +1,6 @@
 #include "replication/replication_log.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace pieces::replication {
@@ -40,10 +41,11 @@ size_t ReplicationLog::Read(uint64_t from, size_t max,
   std::lock_guard<std::mutex> lock(mu_);
   if (from < base_) from = base_;
   const uint64_t end = base_ + records_.size();
-  size_t n = 0;
-  for (uint64_t i = from; i < end && n < max; ++i, ++n) {
-    out->push_back(records_[i - base_]);
-  }
+  const size_t n =
+      from < end ? static_cast<size_t>(std::min<uint64_t>(max, end - from))
+                 : 0;
+  if (out->size() < n) out->resize(n);
+  for (size_t i = 0; i < n; ++i) (*out)[i] = records_[from - base_ + i];
   return n;
 }
 

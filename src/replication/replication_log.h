@@ -41,16 +41,17 @@ class ReplicationLog : public CommitTap {
   ReplicationLog(const ReplicationLog&) = delete;
   ReplicationLog& operator=(const ReplicationLog&) = delete;
 
-  // CommitTap: append the record and wake the shipper. Called from any
-  // writer thread, before that writer's put is acked.
+  // CommitTap: append the record and wake a parked (kLocal) shipper.
+  // Called from any writer thread, before that writer's put is acked.
   void OnCommit(const CommitRecord& record) override;
 
   // One past the last appended record's log index.
   uint64_t tail() const { return tail_.load(std::memory_order_acquire); }
 
-  // Copies up to `max` records starting at log index `from` into `out`
-  // (appended); returns how many were copied. `from` below the truncation
-  // point snaps up to it.
+  // Copies up to `max` records starting at log index `from` into out's
+  // first elements (grown if shorter, never shrunk: a reused batch keeps
+  // its value buffers, so nothing is allocated per record) and returns
+  // how many were copied. `from` below the truncation point snaps up.
   size_t Read(uint64_t from, size_t max, std::vector<LogRecord>* out) const;
 
   // Drops records below log index `upto` (they are shipped and applied).

@@ -6,7 +6,9 @@
 
 namespace pieces::replication {
 
-size_t InProcessTransport::Ship(std::span<const LogRecord> records) {
+size_t InProcessTransport::Ship(std::span<const LogRecord> records,
+                                Clock::time_point deadline, bool* stalled) {
+  if (stalled != nullptr) *stalled = false;
   const uint64_t delay = delay_us_.load(std::memory_order_relaxed);
   if (delay > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(delay));
@@ -14,7 +16,13 @@ size_t InProcessTransport::Ship(std::span<const LogRecord> records) {
   size_t deliver;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return !gated_ || down_; });
+    auto open = [&] { return !gated_ || down_; };
+    if (deadline == Clock::time_point::max()) {
+      cv_.wait(lock, open);
+    } else if (!cv_.wait_until(lock, deadline, open)) {
+      if (stalled != nullptr) *stalled = true;
+      return 0;
+    }
     if (down_) return 0;
     if (remaining_ < 0) {
       deliver = records.size();

@@ -1,4 +1,4 @@
-// ReplicationTransport: the seam between a primary's shipper thread and
+// ReplicationTransport: the seam between a primary's shipping step and
 // its replica. The interface is deliberately the shape of a socket — ship
 // an ordered batch, learn how much of it arrived — so a networked
 // transport can slot in without touching the log, the replica, or the
@@ -9,14 +9,15 @@
 //     Sweeping n over every record count kills the primary at every
 //     shipped-batch boundary AND every mid-batch offset, deterministically
 //     regardless of how records happened to batch at runtime.
-//   * SetGated(true) — hold deliveries (an unbounded network stall) so
-//     read-your-writes tests can pin the replica behind the watermark.
+//   * SetGated(true) — hold deliveries (a network stall, up to each Ship's
+//     deadline) so tests can pin the replica behind the watermark.
 //   * SetDelayUs(d) — per-batch latency (a network round trip) for the
 //     replication-lag experiment.
 #ifndef PIECES_REPLICATION_TRANSPORT_H_
 #define PIECES_REPLICATION_TRANSPORT_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -29,12 +30,20 @@ namespace pieces::replication {
 
 class ReplicationTransport {
  public:
+  using Clock = std::chrono::steady_clock;
+
   virtual ~ReplicationTransport() = default;
 
   // Ships `records` in order; returns how many were delivered *and*
-  // applied. A short count means the link (or the peer) died mid-batch:
-  // the session must stop shipping and mark itself dead.
-  virtual size_t Ship(std::span<const LogRecord> records) = 0;
+  // applied. A link still stalled at `deadline` (max(): no bound) delivers
+  // nothing, sets *stalled (if non-null) and stays up. Any other short
+  // count means the link (or the peer) died mid-batch: the session must
+  // stop shipping and mark itself dead.
+  virtual size_t Ship(std::span<const LogRecord> records,
+                      Clock::time_point deadline, bool* stalled) = 0;
+  size_t Ship(std::span<const LogRecord> records) {
+    return Ship(records, Clock::time_point::max(), nullptr);
+  }
 
   // Tears the link down, releasing any blocked Ship. Idempotent.
   virtual void Shutdown() = 0;
@@ -44,7 +53,9 @@ class InProcessTransport final : public ReplicationTransport {
  public:
   explicit InProcessTransport(Replica* replica) : replica_(replica) {}
 
-  size_t Ship(std::span<const LogRecord> records) override;
+  using ReplicationTransport::Ship;
+  size_t Ship(std::span<const LogRecord> records, Clock::time_point deadline,
+              bool* stalled) override;
   void Shutdown() override;
 
   // Delivers exactly `n` more records, then fails the link permanently —

@@ -573,8 +573,8 @@ void KvService::Shutdown() {
   // (structural ops check shutdown_ under admin_mu_).
   std::lock_guard<std::mutex> admin(admin_mu_);
   Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  // Workers first (they may be awaiting replication acks, which the live
-  // shippers keep draining), then the sessions.
+  // Workers first (they may be awaiting replication acks, which ship
+  // only while the sessions are live), then the sessions.
   for (const Slot& slot : snap->slots) slot.shard->Stop();
   for (const Slot& slot : snap->slots) {
     if (slot.replica != nullptr) slot.replica->Stop();
@@ -724,7 +724,7 @@ FailoverReport KvService::FailOverShard(size_t shard_idx, bool graceful) {
         if (graceful) old.replica->WaitCaughtUp(0);
         // Promotion = crash recovery on the replica's store: Stop the
         // session, validate the commit headers, rebuild the index.
-        // Everything the shipper never delivered is gone — count it.
+        // Everything never delivered is gone — count it.
         // (Under kReplicated ack mode none of those writes were acked.)
         std::unique_ptr<StoreBackend> promoted =
             old.replica->Promote(&report.rebuild_ns);

@@ -39,8 +39,9 @@
 //
 // Replication (ServiceConfig::replication, off by default): every shard
 // gets a shadow replica — a second store + index instance fed by a
-// ReplicationLog tap on the primary's commit path and a shipper thread
-// (replication/replica_session.h). Replica reads (ReadPolicy::kBounce/
+// ReplicationLog tap on the primary's commit path and shipped by a
+// shipper thread (kLocal) or by the semi-sync ack waiters themselves
+// (kReplicated; replication/replica_session.h). Replica reads (ReadPolicy::kBounce/
 // kWait) are served inline at routing time when the replica has caught up
 // to the log tail; otherwise the request falls through to the primary.
 // Replica-served reads complete on the *submitting* thread and therefore
@@ -235,8 +236,8 @@ class KvService {
   // catch up) -> promote the replica store via Recover() -> wrap it in a
   // fresh Shard with a new shadow replica seeded from it. The old
   // primary's medium is crashed, as if the machine died. With
-  // graceful=false the replica is promoted as-is — records the shipper had
-  // not delivered are lost and counted in the report (the crash-failover
+  // graceful=false the replica is promoted as-is — records not yet
+  // delivered are lost and counted in the report (the crash-failover
   // experiment; under AckMode::kReplicated those writes were never acked).
   // Fails (ok=false) when replication is off, the index is out of range,
   // or the service is shutting down.

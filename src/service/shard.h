@@ -27,8 +27,9 @@
 // inline until the first write commits locally. From then on it holds
 // back every completion, waits once for the replication watermark of its
 // latest write, and completes the held-back requests in batch order —
-// each write kOk iff the replica applied it, else kRetry. kLocal shards
-// never hold anything back.
+// each write kOk iff the replica applied it, else kRetry. The wait ships
+// the log itself rather than waking a shipper thread (see
+// replication/replica_session.h). kLocal shards never hold anything back.
 //
 // Live rebalancing support: BeginRetire() flips the shard into a state
 // where every Enqueue returns kRetired (including producers blocked in
@@ -86,8 +87,9 @@ class Shard {
   // worker holds back the batch's completions from its first committed
   // write on and awaits the replication watermark once per batch; each
   // write the wait did not cover (ack timeout, dead link) degrades to
-  // kRetry. The await runs on the worker thread against the independent
-  // shipper thread, so it cannot deadlock request execution — and it is
+  // kRetry. The await ships the log on the worker thread itself (or
+  // waits for the lane that holds the session's ship token); it takes no
+  // shard lock, so it cannot deadlock request execution — and it is
   // bounded by the session's ack_timeout_us, once per batch, regardless.
   void AttachReplication(
       std::shared_ptr<replication::ReplicaSession> session, bool sync_ack);

@@ -212,6 +212,51 @@ TEST(TransportTest, GateHoldsDeliveryUntilReleased) {
   EXPECT_EQ(replica.applied(), 1u);
 }
 
+// A deadline separates a stalled link from a dead one: a gated Ship that
+// outlasts its deadline delivers nothing, reports the stall and leaves
+// the link up; a tripped fail point is a short count with no stall.
+TEST(ReplicationTransportTest, DeadlineSeparatesStalledFromDead) {
+  using Clock = std::chrono::steady_clock;
+  Replica replica(MakeStore("BTree"));
+  InProcessTransport transport(&replica);
+  std::vector<LogRecord> batch(2);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].primary_seqno = i + 1;
+    batch[i].key = 2000 + i;
+    batch[i].value = OpValue(i);
+  }
+  transport.SetGated(true);
+  bool stalled = false;
+  const auto start = Clock::now();
+  EXPECT_EQ(transport.Ship({batch.data(), batch.size()},
+                           start + std::chrono::milliseconds(20), &stalled),
+            0u);
+  EXPECT_TRUE(stalled);
+  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(20));
+  EXPECT_EQ(replica.applied(), 0u);
+
+  // Still alive: once the gate opens the same batch ships whole.
+  transport.SetGated(false);
+  EXPECT_EQ(transport.Ship({batch.data(), batch.size()},
+                           Clock::now() + std::chrono::seconds(5), &stalled),
+            2u);
+  EXPECT_FALSE(stalled);
+  EXPECT_EQ(replica.applied(), 2u);
+
+  // Dead: a short count, not a stall, and a gate does not mask it.
+  transport.FailAfter(1);
+  EXPECT_EQ(transport.Ship({batch.data(), batch.size()},
+                           Clock::now() + std::chrono::seconds(5), &stalled),
+            1u);
+  EXPECT_FALSE(stalled);
+  transport.SetGated(true);
+  EXPECT_EQ(transport.Ship({batch.data(), batch.size()},
+                           Clock::now() + std::chrono::seconds(5), &stalled),
+            0u);
+  EXPECT_FALSE(stalled);
+  EXPECT_EQ(replica.applied(), 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Failover offset sweep (single writer, exact byte-level oracle)
 // ---------------------------------------------------------------------------
@@ -612,6 +657,53 @@ TEST(SemiSyncAck, GroupWaitConfirmsExactlyTheDeliveredPrefix) {
     EXPECT_EQ(session.Stats().ack_failures, kWrites - k) << "k=" << k;
     EXPECT_EQ(session.AwaitReplicated({}), 0u);
   }
+}
+
+// Under kReplicated the ack waiter ships the log itself, so a stalled
+// link holds the waiter only for ack_timeout_us: the write degrades to
+// unacked and the session stays alive. Nothing ships in the background;
+// the next waiter ships the stalled record first, then its own.
+TEST(SemiSyncAck, GatedInlineShipHonoursAckTimeout) {
+  ReplicationConfig cfg = SessionCfg();
+  cfg.ack = ReplicationConfig::AckMode::kReplicated;
+  cfg.ack_timeout_us = 20'000;
+  auto primary = MakeStore("BTree");
+  ASSERT_TRUE(primary->BulkLoad(BaseKeys(16)));
+  ReplicaSession session(MakeStore("BTree"), cfg);
+  primary->SetCommitTap(session.log());
+  ASSERT_TRUE(session.SeedFromPrimary(*primary));
+  session.Start();
+  const uint64_t seeded = session.Stats().acked;
+
+  session.transport()->SetGated(true);
+  const std::vector<uint8_t> stalled = OpValue(1);
+  ASSERT_TRUE(primary->Put(100, stalled.data()));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(AwaitOwnPut(session));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, std::chrono::milliseconds(20));
+  EXPECT_LT(waited, std::chrono::seconds(2));
+  replication::ReplicaSessionStats stats = session.Stats();
+  EXPECT_FALSE(stats.dead);
+  EXPECT_EQ(stats.acked, seeded);
+  EXPECT_EQ(stats.ack_failures, 1u);
+
+  session.transport()->SetGated(false);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(session.replica()->applied(), seeded)
+      << "a record shipped with no ack waiter";
+
+  const std::vector<uint8_t> fresh = OpValue(2);
+  ASSERT_TRUE(primary->Put(100, fresh.data()));
+  EXPECT_TRUE(AwaitOwnPut(session));
+  stats = session.Stats();
+  EXPECT_FALSE(stats.dead);
+  EXPECT_EQ(stats.acked, seeded + 2);
+  EXPECT_EQ(session.replica()->applied(), seeded + 2);
+  std::vector<uint8_t> out(kValueSize);
+  bool gone = false;
+  ASSERT_TRUE(session.replica()->Get(100, out.data(), &gone));
+  EXPECT_EQ(out, fresh) << "the stalled record was applied after its successor";
 }
 
 }  // namespace

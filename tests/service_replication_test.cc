@@ -747,6 +747,97 @@ TEST_P(ServiceSemiSyncGroupAck, BatchedAcksMakeCrashFailoverLossless) {
   service.Shutdown();
 }
 
+// Four writer lanes per shard await their own group acks at once and
+// share each session's ship token. Every kOk write must already be on the
+// replica when the client sees it, the replica must match the primary
+// byte for byte once caught up, and a crash failover must keep every kOk
+// write.
+TEST_P(ServiceSemiSyncGroupAck, LanesShareTheShipLock) {
+  ServiceConfig cfg = Config("lanes");
+  cfg.writers_per_shard = 4;
+  const std::vector<Key> load = LoadKeys(512);
+  KvService service("ALEX", cfg, load);
+  ASSERT_TRUE(service.BulkLoad(load));
+  service.Start();
+
+  constexpr size_t kClients = 4;
+  constexpr size_t kRounds = 12;
+  constexpr size_t kBatch = 16;
+  // Every key is written once: even writes update a loaded key, odd ones
+  // insert the key just above it, and no two clients share a key.
+  auto key_of = [&](size_t client, size_t n) {
+    const Key base = load[(n / 2) * kClients + client];
+    return n % 2 == 0 ? base : base + 1;
+  };
+  std::vector<std::map<Key, std::vector<uint8_t>>> acked(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t r = 0; r < kRounds; ++r) {
+        std::vector<Key> keys;
+        std::vector<std::vector<uint8_t>> values;
+        for (size_t i = 0; i < kBatch; ++i) {
+          const size_t n = r * kBatch + i;
+          keys.push_back(key_of(c, n));
+          values.push_back(TaggedValue(c * 100'000 + n));
+        }
+        CompletionLog log;
+        std::vector<Request> batch;
+        for (size_t i = 0; i < kBatch; ++i) {
+          batch.push_back(WriteOf(keys[i], values[i], log, i));
+        }
+        service.SubmitBatch(std::move(batch));
+        if (!log.WaitFor(kBatch)) {
+          ADD_FAILURE() << "client " << c << " round " << r << " hung";
+          return;
+        }
+        std::lock_guard<std::mutex> lock(log.mu);
+        for (const auto& [i, status] : log.done) {
+          EXPECT_EQ(status, RequestStatus::kOk) << "key " << keys[i];
+          if (status == RequestStatus::kOk) acked[c][keys[i]] = values[i];
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  std::vector<uint8_t> out(kValueSize);
+  bool gone = false;
+  for (const auto& model : acked) {
+    for (const auto& [key, want] : model) {
+      auto session = service.replica_session(service.ShardOf(key));
+      ASSERT_NE(session, nullptr);
+      ASSERT_TRUE(session->replica()->Get(key, out.data(), &gone))
+          << "kOk write missing on the replica, key " << key;
+      EXPECT_EQ(out, want) << "key " << key;
+    }
+  }
+  ASSERT_TRUE(service.WaitReplicasCaughtUp());
+  std::vector<uint8_t> primary(kValueSize);
+  for (const auto& model : acked) {
+    for (const auto& [key, want] : model) {
+      auto session = service.replica_session(service.ShardOf(key));
+      ASSERT_TRUE(session->replica()->Get(key, out.data(), &gone));
+      ASSERT_EQ(service.Get(key, primary.data()), RequestStatus::kOk);
+      EXPECT_EQ(out, primary) << "replica diverged, key " << key;
+    }
+  }
+  for (size_t s = 0; s < cfg.num_shards; ++s) {
+    EXPECT_EQ(service.replica_session(s)->Stats().ack_failures, 0u);
+    FailoverReport report = service.FailOverShard(s, /*graceful=*/false);
+    ASSERT_TRUE(report.ok);
+    EXPECT_EQ(report.lost_records, 0u) << "shard " << s;
+  }
+  for (const auto& model : acked) {
+    for (const auto& [key, want] : model) {
+      ASSERT_EQ(service.Get(key, out.data()), RequestStatus::kOk)
+          << "kOk write lost by crash failover, key " << key;
+      EXPECT_EQ(out, want) << "key " << key;
+    }
+  }
+  service.Shutdown();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, ServiceSemiSyncGroupAck, ::testing::Values("viper", "disk"),
     [](const ::testing::TestParamInfo<std::string>& info) {
