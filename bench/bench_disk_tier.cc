@@ -9,7 +9,7 @@
 // on a dataset 20x the pool, show the page-granular batch grouping
 // beating single-key fetches under a thrashing pool, and confirm the
 // write path costs exactly two fsync barriers per put (payload + header,
-// record_format.h).
+// record_format.h) at one writer and at four.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -374,40 +374,31 @@ void RunDiskTier(Context& ctx) {
     }
   }
 
-  // ---- Group commit ---------------------------------------------------
-  // Concurrent writers sharing one leader-issued fdatasync pair: the
-  // single-put protocol's floor is 2.0 barriers/put; grouping divides it
-  // by the achieved group size.
-  ctx.sink.Section(
-      "group commit: fsync barriers per put vs writer count and group "
-      "size (floor without grouping: 2.0)");
+  // ---- Barriers per put vs writer count --------------------------------
+  // Every writer commits its own put with its own two barriers; with
+  // several writers those barriers overlap (each fsync runs with the
+  // writer mutex released), so kops can rise while barriers/put stays 2.
+  ctx.sink.Section("fsync barriers per put vs writer count (2.0 at any "
+                   "writer count)");
   {
     const std::vector<Key> keys = LoadKeys("ycsb", n);
     std::vector<Key> load, inserts;
     SplitLoadAndInserts(keys, 4, &load, &inserts);
-    struct GroupPoint {
-      size_t writers;
-      size_t group_ops;
-    };
-    for (const GroupPoint pt : {GroupPoint{1, 1}, GroupPoint{4, 1},
-                                GroupPoint{4, 8}, GroupPoint{4, 32}}) {
-      DiskStore::Config cfg = DiskConfig(ctx, keys.size(), 0.25, file_id++);
-      cfg.group_commit_ops = pt.group_ops;
-      cfg.group_commit_delay_us = 200;
-      DiskStore store(MakeIndex("BTree"), cfg);
+    for (const size_t num_writers : {size_t{1}, size_t{4}}) {
+      DiskStore store(MakeIndex("BTree"),
+                      DiskConfig(ctx, keys.size(), 0.25, file_id++));
       if (!store.ok() || !store.BulkLoad(load)) {
         ctx.sink.Add(ResultRow("BTree").Status("load_failed"));
         continue;
       }
       const size_t per_writer =
-          std::min(inserts.size() / pt.writers,
-                   std::max<size_t>(lookups / 4, 64) / pt.writers);
-      const size_t puts = per_writer * pt.writers;
-      const StoreIoStats s0 = store.IoStats();
+          std::min(inserts.size() / num_writers,
+                   std::max<size_t>(lookups / 4, 64) / num_writers);
+      const size_t puts = per_writer * num_writers;
       const uint64_t syncs0 = store.pages().syncs();
       Timer timer;
       std::vector<std::thread> writers;
-      for (size_t t = 0; t < pt.writers; ++t) {
+      for (size_t t = 0; t < num_writers; ++t) {
         writers.emplace_back([&, t] {
           for (size_t i = 0; i < per_writer; ++i) {
             store.PutSynthetic(inserts[t * per_writer + i]);
@@ -416,22 +407,14 @@ void RunDiskTier(Context& ctx) {
       }
       for (auto& th : writers) th.join();
       const double secs = static_cast<double>(timer.ElapsedNanos()) / 1e9;
-      const StoreIoStats s1 = store.IoStats();
       const double np = puts > 0 ? static_cast<double>(puts) : 1.0;
-      const uint64_t groups = s1.group_commits - s0.group_commits;
       ctx.sink.Add(
           ResultRow("BTree")
-              .Label("writers", std::to_string(pt.writers))
-              .Label("group_commit_ops", std::to_string(pt.group_ops))
+              .Label("writers", std::to_string(num_writers))
               .Metric("puts", np)
               .Metric("barriers_per_put",
                       static_cast<double>(store.pages().syncs() - syncs0) /
                           np)
-              .Metric("achieved_group_size",
-                      groups == 0 ? 1.0
-                                  : static_cast<double>(s1.grouped_puts -
-                                                        s0.grouped_puts) /
-                                        static_cast<double>(groups))
               .Metric("kops", secs > 0 ? np / secs / 1e3 : 0));
     }
   }
@@ -441,13 +424,13 @@ PIECES_REGISTER_EXPERIMENT(
     disk_tier, "disk_tier", "disk tier",
     "Disk-resident page store behind the learned indexes: buffer-pool "
     "fraction sweep, backend conformance, batch page-grouping, io-engine "
-    "sweep, error-bound readahead, group commit",
+    "sweep, error-bound readahead, fsync barriers per put vs writer count",
     "with models in DRAM and records on disk, lookup cost is page fetches "
     "per lookup: hit rate tracks the pool fraction, batches amortize "
     "fetches page-granularly, overlapped engines collapse per-page "
     "blocking waits into one wait per batch, the model's error bound "
-    "doubles as a readahead span, and group commit divides the 2-barrier "
-    "put floor by the achieved group size",
+    "doubles as a readahead span, and every put pays two fsync barriers "
+    "whatever the writer count",
     RunDiskTier)
 
 }  // namespace

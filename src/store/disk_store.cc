@@ -1,7 +1,6 @@
 #include "store/disk_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -33,7 +32,6 @@ DiskStore::DiskStore(std::unique_ptr<OrderedIndex> index,
                                                    1, config.page_size))}),
       pool_(&pages_, std::max<size_t>(1, config.pool_pages),
             config.io_engine) {
-  config_.group_commit_ops = std::max<size_t>(1, config_.group_commit_ops);
   if (!pages_.ok()) {
     error_ = pages_.error();
   } else if (slots_per_page() == 0) {
@@ -56,8 +54,8 @@ bool DiskStore::ClaimRun(size_t max, SlotRun* run) {
   run->count = static_cast<uint32_t>(
       std::min<size_t>(max, slots_per_page() - next_slot_));
   next_slot_ += run->count;
-  // Never spin on the pool while holding write_mu_: a leader mid-commit
-  // needs the mutex back to unpin its group's frames.
+  // Never spin on the pool while holding write_mu_: a writer between
+  // its barriers needs the mutex back to unpin its frame.
   uint8_t* frame = fresh ? pool_.PinNew(run->page) : pool_.Pin(run->page);
   while (frame == nullptr) {
     write_mu_.unlock();
@@ -155,76 +153,8 @@ bool DiskStore::BulkLoad(const std::vector<Key>& keys,
 
 bool DiskStore::Put(Key key, const uint8_t* value) {
   CheckPowered();
-  std::unique_lock<std::mutex> lock(write_mu_);
-  // Stage the payload and enqueue. The seqno (and so the index-swing
-  // order) is the enqueue order, assigned under write_mu_; the header
-  // bytes land in the frame only after the leader's payload barrier.
-  PendingRecord entry;
-  if (!ClaimRun(1, &entry.slot)) return false;
-  Stage(key, value, &entry);
-  commit_queue_.push_back(&entry);
-  commit_cv_.notify_all();  // wake a leader waiting out its joiner window
-  // Park until a leader resolves the entry — or lead, whenever the
-  // leader seat is empty. (A thread can come back from leading with its
-  // own entry still queued if the group overflowed ahead of it; it then
-  // simply leads again.)
-  while (entry.state == PendingRecord::State::kQueued) {
-    if (!leader_active_) {
-      leader_active_ = true;
-      LeadCommitLocked(lock);
-    } else {
-      commit_cv_.wait(lock);
-    }
-  }
-  switch (entry.state) {
-    case PendingRecord::State::kCommitted:
-      return true;
-    case PendingRecord::State::kRejected:
-      return false;
-    default:
-      // The group's barrier crashed; pins leak by design (Reset drops
-      // them) and the caller sees the SimulatedCrash the leader saw.
-      throw SimulatedCrash{};
-  }
-}
-
-void DiskStore::LeadCommitLocked(std::unique_lock<std::mutex>& lock) {
-  // Joiner window: give concurrent writers a beat to enqueue before the
-  // barriers are paid; a full group commits immediately.
-  if (commit_queue_.size() < config_.group_commit_ops &&
-      config_.group_commit_delay_us > 0) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(config_.group_commit_delay_us);
-    commit_cv_.wait_until(lock, deadline, [&] {
-      return commit_queue_.size() >= config_.group_commit_ops;
-    });
-  }
-  std::vector<PendingRecord*> batch;
-  while (!commit_queue_.empty() && batch.size() < config_.group_commit_ops) {
-    batch.push_back(commit_queue_.front());
-    commit_queue_.pop_front();
-  }
-  group_commits_.fetch_add(1, std::memory_order_relaxed);
-  grouped_puts_.fetch_add(batch.size(), std::memory_order_relaxed);
-  try {
-    // The barriers release write_mu_ around each fsync; members cannot
-    // see their state (and ack) before re-taking it.
-    Commit(batch);
-  } catch (const SimulatedCrash&) {
-    // Power failed at a grouped barrier: everything still queued crashes
-    // too (its durability is unknowable now). Pins leak on purpose —
-    // Reset() reclaims them in recovery.
-    for (PendingRecord* e : commit_queue_) {
-      e->state = PendingRecord::State::kCrashed;
-    }
-    commit_queue_.clear();
-    leader_active_ = false;
-    commit_cv_.notify_all();
-    throw;
-  }
-  leader_active_ = false;
-  commit_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(write_mu_);
+  return RecordCore::Put(key, value);
 }
 
 bool DiskStore::Get(Key key, uint8_t* out) const {
@@ -389,8 +319,6 @@ StoreIoStats DiskStore::IoStats() const {
   stats.readahead_pages = pool_.readahead_pages();
   stats.readahead_hits = pool_.readahead_hits();
   stats.readahead_wasted = pool_.readahead_wasted();
-  stats.group_commits = group_commits_.load(std::memory_order_relaxed);
-  stats.grouped_puts = grouped_puts_.load(std::memory_order_relaxed);
   return stats;
 }
 

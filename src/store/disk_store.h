@@ -23,10 +23,9 @@
 // Concurrency: any number of concurrent readers (each holds at most one
 // pin at a time); writers serialize on an internal mutex for slot claim
 // and frame mutation, but the fsync barriers themselves run outside it.
-// Every Put appends payload + header into its pinned frame and parks on
-// a commit queue; whichever parked writer finds the leader seat empty
-// commits up to group_commit_ops queued puts as one run under one
-// barrier pair (1 = a group of one, two barriers per put).
+// Put is the record core's Put under that mutex, so each writer commits
+// (and taps) its own record on its own thread, with two barriers per put
+// whatever the writer count.
 //
 // Reads route through the buffer pool's IoEngine (store/io_engine.h;
 // "serial" unless `io_engine` says "threads"): GetBatch prefetches a
@@ -37,9 +36,6 @@
 #ifndef PIECES_STORE_DISK_STORE_H_
 #define PIECES_STORE_DISK_STORE_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -68,13 +64,6 @@ class DiskStore : public RecordCore {
     // lookup pins in one burst. 0 disables — every Get faults exactly
     // its target page, the PR 8 behavior.
     size_t readahead_max_pages = 0;
-    // Group commit: max puts per fdatasync pair. 1 commits every put as
-    // a group of one with its own two barriers; > 1 lets concurrent
-    // writers share a leader-issued barrier pair.
-    size_t group_commit_ops = 1;
-    // How long a leader waits for joiners before committing a partial
-    // group. Bounds the latency cost of grouping at low concurrency.
-    size_t group_commit_delay_us = 100;
   };
 
   DiskStore(std::unique_ptr<OrderedIndex> index, const Config& config);
@@ -120,23 +109,19 @@ class DiskStore : public RecordCore {
                      uint32_t* ra_hi) const;
   void CheckPowered() const { pages_.fault().CheckPowered(); }
 
-  // Drains up to group_commit_ops queued puts and commits them as one
-  // run. Called with write_mu_ held (leader_active_ already true);
-  // returns with it held and leader_active_ false.
-  void LeadCommitLocked(std::unique_lock<std::mutex>& lock);
-
   // ---- RecordCore medium (every call with write_mu_ held) ----
   // Claims in the tail page and pins its frame; spins on a full pool
-  // with write_mu_ released, so a leader can still unpin its group.
+  // with write_mu_ released, so a writer in its barrier can still unpin
+  // its frame.
   bool ClaimRun(size_t max, SlotRun* run) override;
   void ReleaseRun(const SlotRun& run) override {
     pool_.Unpin(run.page, /*dirty=*/false);
   }
   void WriteBytes(uint8_t* dst, const void* src, size_t n) override;
   // Writes the runs' distinct pages back, then one fsync declaring the
-  // runs' record bytes, with write_mu_ released — enqueuers mutate the
-  // same frames under write_mu_, so the write-back never races a
-  // member's memcpy.
+  // runs' record bytes, with write_mu_ released — other writers mutate
+  // the same frames under write_mu_, so the write-back never races
+  // their memcpy.
   void Barrier(std::span<const SlotRun> runs, size_t offset,
                size_t n) override;
   size_t ReopenForRecovery() override;
@@ -149,21 +134,12 @@ class DiskStore : public RecordCore {
   PageStore pages_;
   mutable BufferPool pool_;
 
-  // Serializes slot claim + frame mutation + the commit queue. Barriers
+  // Serializes slot claim + frame mutation + index swing. Barriers
   // (fdatasync) always run with this mutex *released* so readers and
   // fellow writers never stall behind the device.
   std::mutex write_mu_;
   uint32_t tail_page_ = PageStore::kInvalidPage;
   uint32_t next_slot_ = 0;  // slot within tail_page_; under write_mu_
-
-  // Group-commit sequence (all under write_mu_). Entries live on their
-  // callers' stacks, valid until their state resolves.
-  std::condition_variable commit_cv_;
-  std::deque<PendingRecord*> commit_queue_;
-  bool leader_active_ = false;
-
-  std::atomic<uint64_t> group_commits_{0};
-  std::atomic<uint64_t> grouped_puts_{0};
 };
 
 }  // namespace pieces

@@ -77,8 +77,11 @@ void PageStore::PwriteOrDie(uint32_t page, const uint8_t* data) {
 }
 
 void PageStore::WritePage(uint32_t page, const uint8_t* data) {
-  fault_.CheckPowered();
+  // Checked under mu_, as in Sync: a write that queued behind a
+  // concurrent writer's crashing barrier must not land after the
+  // rollback.
   std::lock_guard<std::mutex> lock(mu_);
+  fault_.CheckPowered();
   // First write to this page since the last barrier: capture its durable
   // image (the file content is durable here — everything pending is in
   // shadow_ already, and this page is not).
@@ -103,13 +106,11 @@ void PageStore::RestorePendingLocked() {
 }
 
 void PageStore::Sync(std::span<const Extent> declared) {
-  fault_.CheckPowered();
   std::lock_guard<std::mutex> lock(mu_);
   SyncLocked(declared);
 }
 
 void PageStore::Sync() {
-  fault_.CheckPowered();
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Extent> whole;
   whole.reserve(pending_order_.size());
@@ -120,6 +121,9 @@ void PageStore::Sync() {
 }
 
 void PageStore::SyncLocked(std::span<const Extent> declared) {
+  // Under mu_: a barrier that queued behind a concurrent writer's
+  // crashing barrier must fail, not report its rolled-back bytes durable.
+  fault_.CheckPowered();
   syncs_.fetch_add(1, std::memory_order_relaxed);
   size_t bytes = 0;
   for (const Extent& e : declared) bytes += e.length;

@@ -75,7 +75,8 @@ class PageStore {
 
   // Durability barrier (fdatasync): every write since the previous
   // barrier becomes durable. Counted; the armed barrier of fault() fails
-  // with a prefix of `declared` committed.
+  // with a prefix of `declared` committed, and every barrier or write
+  // that queued behind it throws SimulatedCrash too.
   void Sync(std::span<const Extent> declared);
   // A barrier declaring every pending page whole, in first-write order.
   void Sync();

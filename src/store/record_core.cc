@@ -58,77 +58,36 @@ bool RecordCore::BulkLoad(const std::vector<Key>& keys,
   return true;
 }
 
-void RecordCore::Stage(Key key, const uint8_t* value, PendingRecord* record) {
+bool RecordCore::Put(Key key, const uint8_t* value) {
+  SlotRun slot;
+  if (!ClaimRun(1, &slot)) return false;
   std::vector<uint8_t> payload(PayloadBytes());
   std::memcpy(payload.data(), &key, sizeof(Key));
   std::memcpy(payload.data() + sizeof(Key), value, value_size_);
-  WriteBytes(record->slot.bytes, payload.data(), payload.size());
-  record->key = key;
-  record->value = value;
-  record->header = MakeHeader(payload.data());
-}
-
-void RecordCore::Commit(std::span<PendingRecord* const> batch) {
-  std::vector<SlotRun> slots;
-  slots.reserve(batch.size());
-  for (const PendingRecord* r : batch) slots.push_back(r->slot);
-  // The records not yet committed. Once a record is kCommitted its owner
-  // may return (and free it) while a later barrier runs, so after the
-  // swings only the revoked ones are touched.
-  std::span<PendingRecord* const> open = batch;
-  std::vector<PendingRecord*> revoked;
-  try {
-    Barrier(slots, 0, PayloadBytes());
-    for (const PendingRecord* r : batch) {
-      WriteBytes(r->slot.bytes + PayloadBytes(), &r->header,
-                 sizeof(r->header));
-    }
-    Barrier(slots, PayloadBytes(), sizeof(RecordHeader));
-    // Swings in seqno (= batch) order, so a key written twice in one run
-    // ends with its highest seqno live, as recovery would rebuild it.
-    for (PendingRecord* r : batch) {
-      if (!index_->Insert(r->key, PackHandle(r->slot.page, r->slot.first))) {
-        revoked.push_back(r);
-        continue;
-      }
-      r->state = PendingRecord::State::kCommitted;
-      size_.fetch_add(1, std::memory_order_relaxed);
-      // Durable and visible, not yet acked: the replication tap must see
-      // it before the caller does.
-      EmitCommit(r->header.seqno, r->key, r->value, value_size_);
-    }
-    open = revoked;
-    if (!revoked.empty()) {
-      // Durable but never acknowledged: zero the headers under one more
-      // barrier. kRejected lands only once that barrier is durable; a
-      // crash here surfaces as a crash, not as a promise that recovery
-      // will not resurrect the put.
-      const RecordHeader zero;
-      std::vector<SlotRun> revoked_slots;
-      for (const PendingRecord* r : revoked) {
-        WriteBytes(r->slot.bytes + PayloadBytes(), &zero, sizeof(zero));
-        revoked_slots.push_back(r->slot);
-      }
-      Barrier(revoked_slots, PayloadBytes(), sizeof(RecordHeader));
-      for (PendingRecord* r : revoked) {
-        r->state = PendingRecord::State::kRejected;
-      }
-    }
-  } catch (const SimulatedCrash&) {
-    // Slots stay claimed: recovery reopens the medium anyway.
-    for (PendingRecord* r : open) r->state = PendingRecord::State::kCrashed;
-    throw;
+  WriteBytes(slot.bytes, payload.data(), payload.size());
+  // The seqno taken here fixes the record's commit order. A power cut at
+  // any barrier below propagates as SimulatedCrash with the slot still
+  // claimed: recovery reopens the medium anyway.
+  const RecordHeader header = MakeHeader(payload.data());
+  Barrier({&slot, 1}, 0, PayloadBytes());
+  WriteBytes(slot.bytes + PayloadBytes(), &header, sizeof(header));
+  Barrier({&slot, 1}, PayloadBytes(), sizeof(RecordHeader));
+  const bool swung = index_->Insert(key, PackHandle(slot.page, slot.first));
+  if (swung) {
+    size_.fetch_add(1, std::memory_order_relaxed);
+    // Durable and visible, not yet acked: the replication tap must see
+    // it before the caller does.
+    EmitCommit(header.seqno, key, value, value_size_);
+  } else {
+    // Durable but never acknowledged: zero the header under one more
+    // barrier, so the false return lands only once recovery can no
+    // longer resurrect the put.
+    const RecordHeader zero;
+    WriteBytes(slot.bytes + PayloadBytes(), &zero, sizeof(zero));
+    Barrier({&slot, 1}, PayloadBytes(), sizeof(RecordHeader));
   }
-  for (const SlotRun& slot : slots) ReleaseRun(slot);
-}
-
-bool RecordCore::Put(Key key, const uint8_t* value) {
-  PendingRecord record;
-  if (!ClaimRun(1, &record.slot)) return false;
-  Stage(key, value, &record);
-  PendingRecord* batch[] = {&record};
-  Commit(batch);
-  return record.state == PendingRecord::State::kCommitted;
+  ReleaseRun(slot);
+  return swung;
 }
 
 bool RecordCore::PutSynthetic(Key key) {

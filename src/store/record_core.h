@@ -11,12 +11,14 @@
 // Commit (Put): the payload is written and made durable by barrier 1,
 // then the header (next seqno, CRC32C over key+value, magic last) by
 // barrier 2; only then is the index swung, the commit tap told and the
-// caller acked. A crash at either barrier leaves the slot without a
-// validating header, so recovery returns exactly the acked puts (plus,
-// at most, an in-flight put whose header became durable). A failed
-// swing zeroes the header under one more barrier before the put reports
-// failure, so recovery never resurrects it. Commit takes a run of
-// records so a store can share the two barriers across a group.
+// caller acked — all on the writer's own thread, so a tap that tracks
+// per-thread positions (the replication log's watermark) sees exactly
+// the writes that thread is about to ack. A crash at either barrier
+// leaves the slot without a validating header, so recovery returns
+// exactly the acked puts (plus, at most, an in-flight put whose header
+// became durable). A failed swing zeroes the header under one more
+// barrier before the put reports failure, so recovery never resurrects
+// it.
 //
 // Bulk load: one barrier per page span of complete records.
 //
@@ -46,7 +48,8 @@ class RecordCore : public StoreBackend {
   // One barrier per page span; false when the medium fills up.
   bool BulkLoad(const std::vector<Key>& keys,
                 const std::function<void(Key, uint8_t*)>& fill) override;
-  // One record committed on its own: a run of one with its two barriers.
+  // Two barriers (payload, then header), three if the swing fails; false
+  // when the medium is full or the index refuses the key.
   bool Put(Key key, const uint8_t* value) override;
   bool PutSynthetic(Key key) override;
   uint64_t Recover() override;
@@ -89,27 +92,7 @@ class RecordCore : public StoreBackend {
     uint8_t* bytes = nullptr;
   };
 
-  // A record staged in its slot (payload written, header computed but
-  // not yet written), waiting for Commit.
-  struct PendingRecord {
-    SlotRun slot;  // count == 1
-    Key key = 0;
-    const uint8_t* value = nullptr;  // the caller's bytes, for the tap
-    RecordHeader header;
-    enum class State { kQueued, kCommitted, kRejected, kCrashed };
-    State state = State::kQueued;
-  };
-
   size_t PayloadBytes() const { return sizeof(Key) + value_size_; }
-
-  // Writes the payload into the claimed slot and computes the header;
-  // the seqno taken here fixes the record's commit order.
-  void Stage(Key key, const uint8_t* value, PendingRecord* record);
-  // Commits the run with two barriers (plus one if a swing fails), in
-  // batch order, then releases its slots. Each record ends kCommitted or
-  // kRejected; a power cut marks the uncommitted ones kCrashed and
-  // propagates as SimulatedCrash.
-  void Commit(std::span<PendingRecord* const> batch);
 
   // ---- The medium ------------------------------------------------------
   // Claims up to `max` (>= 1) consecutive fresh slots in the tail page,

@@ -51,11 +51,11 @@ struct CommitRecord {
 class CommitTap {
  public:
   virtual ~CommitTap() = default;
-  // Called from whichever thread committed the put; per-key call order
-  // matches per-key commit order (cross-key order follows tap arrival,
-  // not seqno — concurrent writers may interleave). Must be thread-safe
-  // when the store has concurrent writers, and must not call back into
-  // the store.
+  // Called on the thread that issued the put, before that put returns,
+  // so a tap may track per-thread positions; per-key call order matches
+  // per-key commit order (cross-key order follows tap arrival, not seqno
+  // — concurrent writers may interleave). Must be thread-safe when the
+  // store has concurrent writers, and must not call back into the store.
   virtual void OnCommit(const CommitRecord& record) = 0;
 };
 
@@ -91,10 +91,6 @@ struct StoreIoStats {
   uint64_t readahead_pages = 0;
   uint64_t readahead_hits = 0;
   uint64_t readahead_wasted = 0;
-  // Group commit: groups led, and the puts they committed (grouped_puts /
-  // group_commits = achieved batch size; barriers/put drops accordingly).
-  uint64_t group_commits = 0;
-  uint64_t grouped_puts = 0;
 
   double HitRate() const {
     const uint64_t total = pool_hits + pool_misses;

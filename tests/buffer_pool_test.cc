@@ -175,6 +175,38 @@ TEST(PageStoreTest, TornBarrierCommitsPagesInFirstWriteOrder) {
   EXPECT_EQ(probe[64], 0);  // the rest rolled back to zeros
 }
 
+// The writers of one DiskStore run their barriers concurrently. A barrier
+// already waiting for the device when another barrier cuts the power
+// must fail as well: returning normally would report its rolled-back
+// bytes durable, and its put would be acked and then lost.
+TEST(PageStoreTest, SyncQueuedBehindACrashingSyncFails) {
+  PageStore store(TempPath("psqueue"), SmallOpts());
+  ASSERT_TRUE(store.ok());
+  const uint32_t p = store.AllocatePage();
+  std::vector<uint8_t> data = Stamp(512, 0x21);
+  store.WritePage(p, data.data());
+  // Barrier 1 holds the device for 100 ms while two more queue behind
+  // it; the first of those crashes, and the second must throw too.
+  store.SetSyncDelayForTest(100'000);
+  store.fault().FailAfterBarriers(2);
+  std::thread holder([&] { store.Sync(); });
+  while (store.syncs() == 0) std::this_thread::yield();
+  std::atomic<int> crashed{0};
+  std::vector<std::thread> queued;
+  for (int i = 0; i < 2; ++i) {
+    queued.emplace_back([&] {
+      try {
+        store.Sync();
+      } catch (const SimulatedCrash&) {
+        crashed.fetch_add(1);
+      }
+    });
+  }
+  holder.join();
+  for (std::thread& t : queued) t.join();
+  EXPECT_EQ(crashed.load(), 2);
+}
+
 // A barrier's tear counts its declared bytes. When only bytes
 // [offset, offset + len) of a page differ from its durable image, a
 // whole-page tear t and a declared tear t - offset leave the same page.

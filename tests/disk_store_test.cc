@@ -1,5 +1,5 @@
 // DiskStore integration tests: the end-to-end KV path over the paged
-// file + buffer pool, a crash sweep under concurrent group commit, and a
+// file + buffer pool, a crash sweep under concurrent writers, and a
 // three-way differential (DiskStore vs ViperStore vs std::map) on a
 // dataset far larger than the pool. The single-writer crash sweeps run
 // on both media in crash_sweep_test.cc.
@@ -7,6 +7,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -18,6 +20,7 @@
 
 #include "common/random.h"
 #include "index/registry.h"
+#include "replication/replication_log.h"
 #include "store/viper.h"
 #include "differential_harness.h"
 #include "workload/datasets.h"
@@ -360,81 +363,29 @@ TEST(DiskStoreReadaheadTest, SequentialSweepHitsReadaheadPages) {
   EXPECT_LT(stats.pool_misses, keys.size() / 3 / 2);
 }
 
-// ---- Group commit (PR 9) ----------------------------------------------
+// ---- Concurrent writers -----------------------------------------------
 
-DiskStore::Config GroupConfig(const char* tag, size_t ops, size_t delay_us,
-                              size_t pool_pages = 64) {
-  DiskStore::Config cfg = SmallConfig(tag, pool_pages);
-  cfg.group_commit_ops = ops;
-  cfg.group_commit_delay_us = delay_us;
-  return cfg;
-}
-
-// The acceptance criterion: >= 4 concurrent writers sharing leader-issued
-// barrier pairs must average under 2.0 fsyncs per put (the single-put
-// protocol's floor). Every acked put must still be durable.
-TEST(DiskStoreGroupCommitTest, FourWritersAverageUnderTwoBarriersPerPut) {
-  std::vector<Key> keys = MakeUniformKeys(1200, 33);
-  std::vector<Key> load, inserts;
-  SplitLoadAndInserts(keys, 3, &load, &inserts);
-  constexpr size_t kThreads = 4;
-  constexpr size_t kPutsPerThread = 50;
-  ASSERT_GE(inserts.size(), kThreads * kPutsPerThread);
-  DiskStore store(MakeIndex("BTree"), GroupConfig("gcperf", 8, 2000));
-  ASSERT_TRUE(store.ok()) << store.error();
-  ASSERT_TRUE(store.BulkLoad(load));
-  const uint64_t syncs_before = store.pages().syncs();
-  std::vector<std::thread> writers;
-  for (size_t t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      for (size_t i = 0; i < kPutsPerThread; ++i) {
-        ASSERT_TRUE(store.PutSynthetic(inserts[t * kPutsPerThread + i]));
-      }
-    });
-  }
-  for (auto& th : writers) th.join();
-  const uint64_t barriers = store.pages().syncs() - syncs_before;
-  const double per_put =
-      static_cast<double>(barriers) / (kThreads * kPutsPerThread);
-  EXPECT_LT(per_put, 2.0) << "group commit never amortized a barrier";
-  const StoreIoStats stats = store.IoStats();
-  EXPECT_EQ(stats.grouped_puts, kThreads * kPutsPerThread);
-  EXPECT_GT(stats.group_commits, 0u);
-  EXPECT_GT(stats.grouped_puts, stats.group_commits)
-      << "every group had exactly one member";
-  // Acked means durable: a crash right now loses nothing.
-  store.Crash();
-  store.Recover();
-  for (size_t t = 0; t < kThreads; ++t) {
-    for (size_t i = 0; i < kPutsPerThread; ++i) {
-      ExpectSynthetic(store, inserts[t * kPutsPerThread + i], "post-crash");
-    }
-  }
-  EXPECT_EQ(store.size(), load.size() + kThreads * kPutsPerThread);
-}
-
-// Crash sweep under group commit: arm every barrier the grouped stream is
-// guaranteed to cross, at every tear shape, with 4 concurrent writers.
-// Oracle: every acked put survives with the right payload; anything else
-// present must be an attempted key with a fully-valid record (CRC kills
-// torn ones); loaded keys never disappear.
-TEST(DiskStoreCrashSweepTest, GroupCommitEveryBarrierEveryTear) {
+// Crash sweep with 4 concurrent writers, whose barriers interleave while
+// write_mu_ is released: arm every barrier the stream is guaranteed to
+// cross, at every tear shape. Oracle: every acked put survives with the
+// right payload; anything else present must be an attempted key with a
+// fully-valid record (CRC kills torn ones); loaded keys never disappear.
+TEST(DiskStoreCrashSweepTest, ConcurrentWritersEveryBarrierEveryTear) {
   std::vector<Key> keys = MakeUniformKeys(600, 43);
   std::vector<Key> load, inserts;
   SplitLoadAndInserts(keys, 3, &load, &inserts);
   constexpr size_t kThreads = 4;
   constexpr size_t kPutsPerThread = 8;
   ASSERT_GE(inserts.size(), kThreads * kPutsPerThread);
-  // 32 puts in groups of <= 4: at least ceil(32/4) * 2 = 16 barriers are
-  // crossed however the grouping lands, so barriers 1..16 always fire.
+  // 32 puts at two barriers each: 64 barriers are crossed however the
+  // writers interleave, so barriers 1..16 always fire.
   constexpr uint64_t kBarriers = 16;
   const std::vector<int64_t> tears = {FaultDevice::kNoTear, 0, 8, 100,
                                       4096, 8192};
   std::sort(load.begin(), load.end());
   for (uint64_t barrier = 1; barrier <= kBarriers; ++barrier) {
     for (int64_t tear : tears) {
-      DiskStore store(MakeIndex("BTree"),
-                      GroupConfig("gcsweep", 4, 500, 16));
+      DiskStore store(MakeIndex("BTree"), SmallConfig("cwsweep", 16));
       ASSERT_TRUE(store.ok());
       ASSERT_TRUE(store.BulkLoad(load));
       store.fault().FailAfterBarriers(barrier, tear);
@@ -486,6 +437,51 @@ TEST(DiskStoreCrashSweepTest, GroupCommitEveryBarrierEveryTear) {
       }
     }
   }
+}
+
+// Each put is committed and tapped on its own writer's thread, so right
+// after Put returns that writer's ThisThreadWatermark() covers its own
+// record — the position a semi-sync ack awaits on that thread. A commit
+// that taps a record on another writer's thread leaves the owner's
+// watermark short of it, and its ack can then precede the replica.
+TEST(DiskStoreConcurrencyTest, EachPutIsTappedOnItsOwnThread) {
+  std::vector<Key> keys = MakeUniformKeys(2400, 51);
+  std::vector<Key> load, inserts;
+  SplitLoadAndInserts(keys, 3, &load, &inserts);
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPutsPerThread = 200;
+  ASSERT_GE(inserts.size(), kThreads * kPutsPerThread);
+  DiskStore store(MakeIndex("ALEX"), SmallConfig("owntap"));
+  ASSERT_TRUE(store.ok()) << store.error();
+  ASSERT_TRUE(store.BulkLoad(load));
+  auto log = std::make_shared<replication::ReplicationLog>();
+  store.SetCommitTap(log);
+  std::atomic<size_t> short_marks{0};
+  std::vector<std::thread> writers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      std::vector<replication::LogRecord> records;
+      for (size_t i = 0; i < kPutsPerThread; ++i) {
+        const Key key = inserts[t * kPutsPerThread + i];
+        ASSERT_TRUE(store.PutSynthetic(key));
+        const uint64_t mark = log->ThisThreadWatermark();
+        // Every key is put once and nothing truncates the log, so the
+        // record's log index is its position in a read from 0.
+        const size_t n = log->Read(0, log->tail(), &records);
+        const auto own = std::find_if(
+            records.begin(), records.begin() + n,
+            [key](const replication::LogRecord& r) { return r.key == key; });
+        ASSERT_NE(own, records.begin() + n) << "untapped put of " << key;
+        if (static_cast<uint64_t>(own - records.begin()) >= mark) {
+          short_marks.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  EXPECT_EQ(short_marks.load(), 0u)
+      << "puts whose own watermark missed their record, of "
+      << kThreads * kPutsPerThread;
 }
 
 // ---- Reader latency vs fsync barriers (PR 9, satellite 1) -------------

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
@@ -835,6 +836,75 @@ TEST_P(ServiceSemiSyncGroupAck, LanesShareTheShipLock) {
       EXPECT_EQ(out, want) << "key " << key;
     }
   }
+  service.Shutdown();
+}
+
+// LanesShareTheShipLock checks the replica only after every client has
+// joined, when a write acked early has long since shipped. Here the check
+// runs inside each write's `done`, the moment the client learns of it: a
+// kOk must already be readable on the replica, with four writer lanes
+// per shard awaiting their own acks on a healthy link.
+TEST_P(ServiceSemiSyncGroupAck, EveryOkIsOnTheReplicaWhenItCompletes) {
+  ServiceConfig cfg = Config("ack_time");
+  cfg.writers_per_shard = 4;
+  const std::vector<Key> load = LoadKeys(512);
+  KvService service("ALEX", cfg, load);
+  ASSERT_TRUE(service.BulkLoad(load));
+  service.Start();
+
+  constexpr size_t kClients = 4;
+  constexpr size_t kRounds = 12;
+  constexpr size_t kBatch = 16;
+  // As in LanesShareTheShipLock: every key is written once, so the
+  // replica holds the written value exactly when it has the write.
+  auto key_of = [&](size_t client, size_t n) {
+    const Key base = load[(n / 2) * kClients + client];
+    return n % 2 == 0 ? base : base + 1;
+  };
+  std::atomic<size_t> oks{0};
+  std::atomic<size_t> early{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t r = 0; r < kRounds; ++r) {
+        std::vector<std::vector<uint8_t>> values;
+        for (size_t i = 0; i < kBatch; ++i) {
+          values.push_back(TaggedValue(c * 100'000 + r * kBatch + i));
+        }
+        CompletionLog log;
+        std::vector<Request> batch;
+        for (size_t i = 0; i < kBatch; ++i) {
+          const Key key = key_of(c, r * kBatch + i);
+          auto session = service.replica_session(service.ShardOf(key));
+          ASSERT_NE(session, nullptr);
+          Request req = WriteOf(key, values[i], log, i);
+          req.done = [&, key, session, want = &values[i],
+                      record = log.For(i)](RequestStatus status) {
+            if (status == RequestStatus::kOk) {
+              oks.fetch_add(1, std::memory_order_relaxed);
+              std::vector<uint8_t> out(kValueSize);
+              bool gone = false;
+              if (!session->replica()->Get(key, out.data(), &gone) ||
+                  out != *want) {
+                early.fetch_add(1, std::memory_order_relaxed);
+              }
+            }
+            record(status);
+          };
+          batch.push_back(std::move(req));
+        }
+        service.SubmitBatch(std::move(batch));
+        if (!log.WaitFor(kBatch)) {
+          ADD_FAILURE() << "client " << c << " round " << r << " hung";
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(oks.load(), kClients * kRounds * kBatch);
+  EXPECT_EQ(early.load(), 0u)
+      << "kOk writes not yet on the replica when they completed";
   service.Shutdown();
 }
 
