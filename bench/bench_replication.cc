@@ -2,10 +2,9 @@
 // a shadow replica costs while healthy, and what it buys when the
 // primary dies. The commit log drains in batches through the transport
 // (a shipper thread under async acks, the ack waiters under semi-sync);
-// lag (log tail minus applied) is the staleness budget for replica reads
-// and the loss budget for a crash failover, so the first question is how
-// lag tracks the offered write rate. The second is the
-// failover itself: promotion reuses the crash-recovery path
+// lag (log tail minus applied) is the loss budget for a crash failover,
+// so the first question is how lag tracks the offered write rate. The
+// second is the failover itself: promotion reuses the crash-recovery path
 // (StoreBackend::Recover rebuilds the in-memory index from the replica's
 // own durable media), so the outage window is index-dependent — exactly
 // the rebuild asymmetry the recovery experiment measures, now as a
@@ -14,8 +13,8 @@
 // Three sections:
 //   1. replication lag vs write rate — async acks, write-heavy open
 //      loop at swept offered rates (0 = saturate) with a transport
-//      delay per shipped batch; a sampler thread polls ServiceStats
-//      during the run for mean/max lag across shards;
+//      delay per shipped batch; a sampler thread polls every shard's
+//      ReplicaSessionStats during the run for mean/max lag across shards;
 //   2. ack mode cost — the same saturating write load with kLocal
 //      (async) vs kReplicated (semi-sync) acks: the throughput price
 //      of "kOk means on the replica too";
@@ -70,16 +69,26 @@ ServiceConfig BaseConfig(size_t shards, const std::vector<Key>& load,
   return cfg;
 }
 
-// Polls ServiceStats during a run and tracks the summed replication lag
-// across shards. Sampling is cheap (a snapshot copy per poll) and stays
-// off the request path.
+// Every shard's replication counters, read off its session.
+std::vector<replication::ReplicaSessionStats> SessionStats(
+    const KvService& svc) {
+  std::vector<replication::ReplicaSessionStats> out;
+  for (size_t s = 0;; ++s) {
+    auto session = svc.replica_session(s);
+    if (session == nullptr) return out;
+    out.push_back(session->Stats());
+  }
+}
+
+// Polls the sessions during a run and tracks the summed replication lag
+// across shards. Sampling is cheap (a few atomic loads and one lock per
+// shard) and stays off the request path.
 struct LagSampler {
   explicit LagSampler(KvService* svc) : svc_(svc) {
     thread_ = std::thread([this] {
       while (!stop_.load(std::memory_order_acquire)) {
-        service::ServiceStats stats = svc_->Stats();
         uint64_t lag = 0;
-        for (const auto& sh : stats.shards) lag += sh.repl_lag;
+        for (const auto& r : SessionStats(*svc_)) lag += r.lag;
         sum_ += lag;
         ++samples_;
         max_ = std::max(max_, lag);
@@ -124,7 +133,7 @@ void RunReplication(Context& ctx) {
   // for the network round trip. At low rates the shipper drains between
   // arrivals and lag stays near zero; past the link's drain rate the log
   // runs ahead of the replica and lag grows with the rate — that
-  // distance is both replica-read staleness and the crash-loss window.
+  // distance is the crash-loss window.
   std::vector<Op> write_ops = GenerateOps(
       WorkloadSpec::WriteOnly(), ctx.ops, load, inserts, 43);
   ctx.sink.Section("replication lag vs offered write rate (async acks)");
@@ -154,9 +163,8 @@ void RunReplication(Context& ctx) {
       lag_mean = sampler.Mean();
       lag_max = sampler.Max();
     }
-    service::ServiceStats stats = svc->Stats();
     uint64_t batches = 0;
-    for (const auto& sh : stats.shards) batches += sh.repl_batches;
+    for (const auto& r : SessionStats(*svc)) batches += r.batches_shipped;
     svc->Shutdown();
     ResultRow row(rate == 0 ? "saturate" : std::to_string(rate) + "qps");
     row.Label("index", lag_index)
@@ -191,9 +199,8 @@ void RunReplication(Context& ctx) {
     lg.duration_seconds = duration;
     lg.clients = clients;
     LoadGenResult r = RunOpenLoop(svc.get(), write_ops, lg);
-    service::ServiceStats stats = svc->Stats();
     uint64_t ack_failures = 0;
-    for (const auto& sh : stats.shards) ack_failures += sh.repl_ack_failures;
+    for (const auto& r : SessionStats(*svc)) ack_failures += r.ack_failures;
     svc->Shutdown();
     ctx.sink.Add(
         ResultRow(ack == AckMode::kLocal ? "async-kLocal" : "semisync-kReplicated")

@@ -158,7 +158,6 @@ LoadGenResult RunOpenLoop(KvService* service, const std::vector<Op>& ops,
       Request req;
       req.type = op.type;
       req.key = op.key;
-      req.start_nanos = scheduled;
       if (op.type == OpType::kScan) {
         req.scan_len = op.scan_len;
         req.done = [&counters, &scan_latency, scheduled](RequestStatus st) {

@@ -1,6 +1,5 @@
 #include "replication/replica.h"
 
-#include <chrono>
 #include <utility>
 
 #include "store/record_format.h"
@@ -25,41 +24,20 @@ bool Replica::Seed(const StoreBackend& primary, uint64_t log_start) {
     }
   });
   if (!ok) return false;
-  {
-    std::lock_guard<std::mutex> wlock(wait_mu_);
-    applied_.store(log_start, std::memory_order_release);
-  }
-  applied_cv_.notify_all();
+  applied_.store(log_start, std::memory_order_release);
   return true;
 }
 
 size_t Replica::Apply(std::span<const LogRecord> records) {
+  std::unique_lock<std::shared_mutex> lock(store_mu_);
+  if (store_ == nullptr) return 0;
   size_t n = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(store_mu_);
-    if (store_ == nullptr) return 0;
-    for (const LogRecord& rec : records) {
-      if (!store_->Put(rec.key, rec.value.data())) break;
-      ++n;
-    }
+  for (const LogRecord& rec : records) {
+    if (!store_->Put(rec.key, rec.value.data())) break;
+    ++n;
   }
-  if (n > 0) {
-    {
-      std::lock_guard<std::mutex> lock(wait_mu_);
-      applied_.fetch_add(n, std::memory_order_release);
-    }
-    applied_cv_.notify_all();
-  }
+  applied_.fetch_add(n, std::memory_order_release);
   return n;
-}
-
-bool Replica::WaitApplied(uint64_t target, uint64_t timeout_us) const {
-  if (applied() >= target) return true;
-  std::unique_lock<std::mutex> lock(wait_mu_);
-  applied_cv_.wait_for(lock, std::chrono::microseconds(timeout_us), [&] {
-    return closed_ || applied_.load(std::memory_order_acquire) >= target;
-  });
-  return applied_.load(std::memory_order_acquire) >= target;
 }
 
 bool Replica::Get(Key key, uint8_t* out, bool* gone) const {
@@ -72,16 +50,7 @@ bool Replica::Get(Key key, uint8_t* out, bool* gone) const {
   return store_->Get(key, out);
 }
 
-void Replica::Close() {
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    closed_ = true;
-  }
-  applied_cv_.notify_all();
-}
-
 std::unique_ptr<StoreBackend> Replica::Promote(uint64_t* rebuild_ns) {
-  Close();
   std::unique_lock<std::shared_mutex> lock(store_mu_);
   if (store_ == nullptr) return nullptr;
   // The replica's store is durable in its own right (every apply ran the

@@ -8,18 +8,15 @@
 // and the crash path share one mechanism.
 //
 // Thread model: the applier (whichever thread holds the session's ship
-// token) takes the store exclusively per shipped batch;
-// watermark-gated client reads take it shared. Most indexes in the
-// registry are strictly single-writer, so reads never overlap an apply —
-// that exclusion is what lets replica reads work for all 14 families, not
-// just the concurrent-writer ones.
+// token) takes the store exclusively per shipped batch; Get, through
+// which tests inspect the replica, takes it shared. Most indexes in the
+// registry are strictly single-writer, so a Get must never overlap an
+// apply.
 #ifndef PIECES_REPLICATION_REPLICA_H_
 #define PIECES_REPLICATION_REPLICA_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <vector>
@@ -43,30 +40,20 @@ class Replica {
   bool Seed(const StoreBackend& primary, uint64_t log_start);
 
   // Applies `records` in order through the store's Put path; returns how
-  // many applied (fewer only when the replica store is full or closed).
+  // many applied (fewer only when the replica store is full or promoted).
   // Single applier assumed: the session's ship token admits one thread.
   size_t Apply(std::span<const LogRecord> records);
 
-  // Log index one past the last applied record: the watermark replica
-  // reads are gated on.
+  // Log index one past the last applied record.
   uint64_t applied() const { return applied_.load(std::memory_order_acquire); }
 
-  // Blocks until applied() >= target, the timeout expires, or the replica
-  // is closed/promoted. Returns applied() >= target.
-  bool WaitApplied(uint64_t target, uint64_t timeout_us) const;
-
-  // Watermark-gated read body (the gate itself lives in ReplicaSession).
-  // Returns found; sets *gone when the store has been released by
-  // promotion — the caller must bounce to the (new) primary.
+  // Reads the replica's image. Returns found; sets *gone when the store
+  // has been released by promotion.
   bool Get(Key key, uint8_t* out, bool* gone) const;
-
-  // Permanently wakes watermark waiters and stops further applies
-  // (session teardown / pre-promotion).
-  void Close();
 
   // Failover: recover the store off its own durable media (rebuilding the
   // index exactly as a restarted primary would) and release it to the
-  // caller. The replica is closed afterwards.
+  // caller. Later applies find no store and apply nothing.
   std::unique_ptr<StoreBackend> Promote(uint64_t* rebuild_ns);
 
   // Test/stat access; null after promotion.
@@ -76,10 +63,7 @@ class Replica {
   std::unique_ptr<StoreBackend> store_;  // null once promoted
   // Applier/promotion exclusive, readers shared.
   mutable std::shared_mutex store_mu_;
-  mutable std::mutex wait_mu_;
-  mutable std::condition_variable applied_cv_;
   std::atomic<uint64_t> applied_{0};
-  bool closed_ = false;  // under wait_mu_
 };
 
 }  // namespace pieces::replication

@@ -47,7 +47,6 @@ void ReplicaSession::Stop() {
   acked_cv_.notify_all();
   log_->Close();          // wake the shipper's WaitTail
   transport_.Shutdown();  // release a gated/blocked Ship
-  replica_.Close();       // wake watermark-gated readers
   // No ship step starts once stopping_ is set; wait out the one in flight
   // so that Promote never overlaps an apply.
   std::unique_lock<std::mutex> lock(mu_);
@@ -166,34 +165,6 @@ size_t ReplicaSession::AwaitReplicated(std::span<const uint64_t> marks) {
   return confirmed;
 }
 
-bool ReplicaSession::TryRead(Key key, uint8_t* out, bool* found) {
-  if (config_.reads == ReplicationConfig::ReadPolicy::kOff) return false;
-  const uint64_t watermark = log_->tail();
-  if (replica_.applied() < watermark) {
-    bool caught_up = false;
-    if (config_.reads == ReplicationConfig::ReadPolicy::kWait) {
-      waits_.fetch_add(1, std::memory_order_relaxed);
-      caught_up =
-          replica_.WaitApplied(watermark, config_.read_wait_timeout_us);
-    }
-    if (!caught_up) {
-      bounces_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-  }
-  bool gone = false;
-  const bool hit = replica_.Get(key, out, &gone);
-  if (gone) {
-    // Promoted away mid-read: the store this replica was shadowing is
-    // being replaced; the re-route protocol takes it from here.
-    bounces_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  *found = hit;
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 std::unique_ptr<StoreBackend> ReplicaSession::Promote(uint64_t* rebuild_ns) {
   Stop();
   return replica_.Promote(rebuild_ns);
@@ -210,9 +181,6 @@ ReplicaSessionStats ReplicaSession::Stats() const {
   s.applied = replica_.applied();
   s.lag = s.log_tail > s.applied ? s.log_tail - s.applied : 0;
   s.batches_shipped = batches_.load(std::memory_order_relaxed);
-  s.replica_reads = reads_.load(std::memory_order_relaxed);
-  s.replica_waits = waits_.load(std::memory_order_relaxed);
-  s.replica_bounces = bounces_.load(std::memory_order_relaxed);
   s.ack_failures = ack_failures_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   s.acked = acked_;

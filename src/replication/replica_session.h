@@ -1,7 +1,7 @@
 // ReplicaSession: one primary→replica replication link for one shard.
 // Owns the ReplicationLog (installed as the primary store's CommitTap),
-// the shipping step that drains it in batches through a
-// ReplicationTransport, and the Replica that applies the stream. The
+// the shipping step that drains it in batches through an
+// InProcessTransport, and the Replica that applies the stream. The
 // service layer (service/router.cc) holds one session per shard next to
 // the shard itself in the routing snapshot.
 //
@@ -18,12 +18,8 @@
 // whichever ack waiter finds the token free ships, so a replicated write
 // pays the replica apply instead of a thread hand-off each way.
 //
-// Read-your-writes: a client's Put returns only after its record entered
-// the log, so a replica read served only when applied >= the log tail
-// sees every write the client was acked; otherwise it waits
-// (ReadPolicy::kWait, bounded) or bounces to the primary (kBounce). Read
-// waits run on client threads, and nothing that advances the watermark
-// waits on a read or a shard lock, so they cannot deadlock requests.
+// Every client read is served by the primary; the replica is a warm
+// standby for failover.
 //
 // Semi-sync acks (AckMode::kReplicated): a shard worker holds back the
 // completions of its batch from the first locally durable write on, then
@@ -64,21 +60,9 @@ struct ReplicationConfig {
   };
   AckMode ack = AckMode::kLocal;
 
-  // Whether point reads may be served by replicas.
-  enum class ReadPolicy : uint8_t {
-    kOff,     // all reads on the primary
-    kBounce,  // replica serves iff caught up to the watermark, else the
-              // read bounces back to the primary immediately
-    kWait,    // behind-watermark reads wait (bounded) for catch-up, then
-              // bounce if still behind
-  };
-  ReadPolicy reads = ReadPolicy::kOff;
-
   // At most ship_batch records per transport call, whichever thread ships
   // (the kLocal shipper thread or, under kReplicated, an ack waiter).
   size_t ship_batch = 64;
-  // kWait read gate bound before the read bounces to the primary.
-  uint64_t read_wait_timeout_us = 2000;
   // kReplicated ack bound before a locally durable write degrades to
   // kRetry; it also bounds a waiter's own ship on a stalled link.
   uint64_t ack_timeout_us = 100000;
@@ -93,10 +77,7 @@ struct ReplicaSessionStats {
   uint64_t applied = 0;
   uint64_t lag = 0;  // tail - applied at sample time
   uint64_t batches_shipped = 0;
-  uint64_t replica_reads = 0;    // reads served by the replica
-  uint64_t replica_waits = 0;    // served reads that waited at the gate
-  uint64_t replica_bounces = 0;  // reads bounced to the primary
-  uint64_t ack_failures = 0;     // semi-sync writes degraded to kRetry
+  uint64_t ack_failures = 0;  // semi-sync writes degraded to kRetry
   bool dead = false;
 };
 
@@ -119,7 +100,7 @@ class ReplicaSession {
 
   // Opens the link (spawning the shipper thread under kLocal); nothing
   // ships before Start. Start after seeding; Stop is idempotent, wakes
-  // every watermark and ack waiter, and returns once no ship step runs.
+  // every ack waiter, and returns once no ship step runs.
   void Start();
   void Stop();
 
@@ -137,12 +118,6 @@ class ReplicaSession {
   // of the group. Exact per write: write i is on the replica iff i < the
   // result. The rest count as ack_failures.
   size_t AwaitReplicated(std::span<const uint64_t> marks);
-
-  // Watermark-gated replica read. True = the read was served here (sets
-  // *found / fills `out` on a hit); false = the caller must read the
-  // primary (gate not met under kBounce, wait timed out, reads off, or
-  // the replica was promoted away).
-  bool TryRead(Key key, uint8_t* out, bool* found);
 
   // Failover: stop shipping, recover the replica store off its own
   // durable media, release it for the caller to wrap in a new primary
@@ -190,9 +165,6 @@ class ReplicaSession {
   std::thread shipper_;           // kLocal only
 
   std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> waits_{0};
-  std::atomic<uint64_t> bounces_{0};
   std::atomic<uint64_t> ack_failures_{0};
 };
 

@@ -21,7 +21,6 @@ thread_local ThreadAppend tl_append;
 
 void ReplicationLog::OnCommit(const CommitRecord& record) {
   LogRecord rec;
-  rec.primary_seqno = record.seqno;
   rec.key = record.key;
   rec.value.assign(record.value, record.value + record.value_size);
   uint64_t next;

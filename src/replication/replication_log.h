@@ -1,14 +1,13 @@
 // ReplicationLog: the per-shard redo stream behind primary→replica log
 // shipping. It is a CommitTap installed on the primary store, so every
-// committed put lands here (seqno + key + value bytes) *before* the
-// client's acknowledgement — the property the read-your-writes watermark
-// and replication-synchronous acks are built on.
+// committed put lands here (key + value bytes) *before* the client's
+// acknowledgement — the property replication-synchronous acks are built
+// on.
 //
 // Positions in the log are *log indexes* (0-based append order; tail() is
 // one past the last appended record), not primary seqnos: seqnos from
 // concurrent writers may arrive interleaved, while per-key order matches
-// per-key commit order (the tap contract). Each record still carries its
-// primary seqno for transports that want to dedup or resume.
+// per-key commit order (the tap contract).
 //
 // Shipped-and-applied prefixes are truncated (TruncateTo) so the in-DRAM
 // log stays bounded by the replication lag, not the write history.
@@ -29,7 +28,6 @@ namespace pieces::replication {
 // One committed primary record, framed for shipping. The value is copied
 // out of the commit path (the store's buffer is only valid in-call).
 struct LogRecord {
-  uint64_t primary_seqno = 0;
   Key key = 0;
   std::vector<uint8_t> value;
 };

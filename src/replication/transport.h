@@ -1,16 +1,14 @@
-// ReplicationTransport: the seam between a primary's shipping step and
-// its replica. The interface is deliberately the shape of a socket — ship
-// an ordered batch, learn how much of it arrived — so a networked
-// transport can slot in without touching the log, the replica, or the
-// session. The in-process implementation applies batches directly and
-// doubles as the failure-injection surface for the failover tests:
+// InProcessTransport: the link between a primary's shipping step and its
+// replica. It has the shape of a socket — ship an ordered batch, learn
+// how much of it arrived — but applies batches directly, and doubles as
+// the failure-injection surface for the failover tests:
 //
 //   * FailAfter(n)  — deliver exactly n more records, then the link dies.
 //     Sweeping n over every record count kills the primary at every
 //     shipped-batch boundary AND every mid-batch offset, deterministically
 //     regardless of how records happened to batch at runtime.
 //   * SetGated(true) — hold deliveries (a network stall, up to each Ship's
-//     deadline) so tests can pin the replica behind the watermark.
+//     deadline) so tests can pin the replica behind the log tail.
 //   * SetDelayUs(d) — per-batch latency (a network round trip) for the
 //     replication-lag experiment.
 #ifndef PIECES_REPLICATION_TRANSPORT_H_
@@ -28,35 +26,21 @@
 
 namespace pieces::replication {
 
-class ReplicationTransport {
+class InProcessTransport {
  public:
   using Clock = std::chrono::steady_clock;
 
-  virtual ~ReplicationTransport() = default;
+  explicit InProcessTransport(Replica* replica) : replica_(replica) {}
 
   // Ships `records` in order; returns how many were delivered *and*
   // applied. A link still stalled at `deadline` (max(): no bound) delivers
   // nothing, sets *stalled (if non-null) and stays up. Any other short
   // count means the link (or the peer) died mid-batch: the session must
   // stop shipping and mark itself dead.
-  virtual size_t Ship(std::span<const LogRecord> records,
-                      Clock::time_point deadline, bool* stalled) = 0;
-  size_t Ship(std::span<const LogRecord> records) {
-    return Ship(records, Clock::time_point::max(), nullptr);
-  }
-
-  // Tears the link down, releasing any blocked Ship. Idempotent.
-  virtual void Shutdown() = 0;
-};
-
-class InProcessTransport final : public ReplicationTransport {
- public:
-  explicit InProcessTransport(Replica* replica) : replica_(replica) {}
-
-  using ReplicationTransport::Ship;
   size_t Ship(std::span<const LogRecord> records, Clock::time_point deadline,
-              bool* stalled) override;
-  void Shutdown() override;
+              bool* stalled);
+  // Tears the link down, releasing any blocked Ship. Idempotent.
+  void Shutdown();
 
   // Delivers exactly `n` more records, then fails the link permanently —
   // the offset-sweep kill switch.

@@ -12,7 +12,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/latency_recorder.h"
 #include "index/ordered_index.h"
 #include "workload/ycsb.h"
 
@@ -58,17 +57,12 @@ struct Request {
   // Scan destination; results are appended in key order. nullptr counts
   // the scan without returning keys.
   std::vector<Key>* scan_out = nullptr;
-  // Client-stamped start time (the *scheduled arrival* for open-loop
-  // clients — measuring from here is what makes tails coordinated-
-  // omission-free). When both start_nanos and latency are set, the
-  // executing worker records completion - start_nanos. Rejected and
-  // shutdown requests never record latency. For scans that may span
-  // shards, leave latency null and measure in `done` instead: the final
-  // sub-scan completion runs on an arbitrary shard's worker, which would
-  // break the recorder's single-writer discipline.
-  uint64_t start_nanos = 0;
-  LatencyRecorder* latency = nullptr;
   std::function<void(RequestStatus)> done;  // optional
+
+  // Fires `done`, if set.
+  void Complete(RequestStatus status) {
+    if (done) done(status);
+  }
 };
 
 struct ShardStats {
@@ -86,17 +80,6 @@ struct ShardStats {
   uint64_t bg_published = 0;
   uint64_t bg_aborted = 0;
   uint64_t bg_throttled = 0;
-  // Replication counters (all zero when replication is off); sampled off
-  // the shard's ReplicaSession at Stats() time. See ReplicaSessionStats.
-  uint64_t repl_log_tail = 0;
-  uint64_t repl_applied = 0;
-  uint64_t repl_lag = 0;
-  uint64_t repl_batches = 0;
-  uint64_t replica_reads = 0;
-  uint64_t replica_waits = 0;
-  uint64_t replica_bounces = 0;
-  uint64_t repl_ack_failures = 0;
-  bool replica_dead = false;
 };
 
 struct ServiceStats {

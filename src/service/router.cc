@@ -208,12 +208,6 @@ void KvService::Start() {
   }
 }
 
-void KvService::CompleteInline(Request& req, RequestStatus status) {
-  // Rejected/shutdown/retried requests never record latency — only
-  // executed requests may touch the single-writer recorder.
-  if (req.done) req.done(status);
-}
-
 bool KvService::WaitForNewerSnapshot(uint64_t version) {
   std::unique_lock<std::mutex> lock(snapshot_mu_);
   snapshot_changed_.wait(lock, [&] {
@@ -235,7 +229,7 @@ void KvService::DispatchToShard(const std::shared_ptr<Shard>& shard,
     RouteBatch(std::move(batch), budget - 1);
     return;
   }
-  for (Request& req : batch) CompleteInline(req, status);
+  for (Request& req : batch) req.Complete(status);
 }
 
 RequestStatus KvService::Bounce(Shard::EnqueueResult result,
@@ -258,41 +252,15 @@ RequestStatus KvService::Bounce(Shard::EnqueueResult result,
                                        : RequestStatus::kShutdown;
 }
 
-bool KvService::TryReplicaRead(replication::ReplicaSession& session,
-                               Request& req) {
-  // Discarded payloads still need a destination buffer; the scratch is
-  // per-submitting-thread, mirroring the worker-local scratch.
-  thread_local std::vector<uint8_t> scratch;
-  uint8_t* out = req.out;
-  if (out == nullptr) {
-    if (scratch.size() < config_.store.value_size) {
-      scratch.resize(config_.store.value_size);
-    }
-    out = scratch.data();
-  }
-  bool found = false;
-  if (!session.TryRead(req.key, out, &found)) return false;
-  // No latency recording: this completion runs on the submitting thread,
-  // and the recorder belongs to the executing worker (single-writer).
-  if (req.done) {
-    req.done(found ? RequestStatus::kOk : RequestStatus::kNotFound);
-  }
-  return true;
-}
-
 void KvService::RouteBatch(std::vector<Request>&& batch, int budget) {
   if (batch.empty()) return;
   uint64_t version;
-  std::vector<Slot> slots;
+  std::vector<std::shared_ptr<Shard>> shards;
   std::vector<std::vector<Request>> buckets;
-  const bool replica_reads =
-      config_.replication.enabled &&
-      config_.replication.reads != replication::ReplicationConfig::ReadPolicy::kOff;
   {
     // The guard pins the snapshot only while routing; the enqueues below
     // may block on admission control, so they run on copied references to
-    // the shards the batch touches (and their sessions, for replica reads)
-    // instead of the snapshot itself.
+    // the shards the batch touches instead of the snapshot itself.
     EpochGuard guard;
     Snapshot* snap = snapshot_.load(std::memory_order_acquire);
     version = snap->version;
@@ -300,42 +268,24 @@ void KvService::RouteBatch(std::vector<Request>&& batch, int budget) {
     for (Request& req : batch) {
       buckets[snap->partition.ShardOf(req.key)].push_back(std::move(req));
     }
-    slots.resize(buckets.size());
+    shards.resize(buckets.size());
     for (size_t s = 0; s < buckets.size(); ++s) {
-      if (buckets[s].empty()) continue;
-      slots[s].shard = snap->slots[s].shard;
-      if (replica_reads) slots[s].replica = snap->slots[s].replica;
+      if (!buckets[s].empty()) shards[s] = snap->slots[s].shard;
     }
   }
   const size_t max_batch = std::max<size_t>(1, config_.max_batch);
   for (size_t s = 0; s < buckets.size(); ++s) {
     std::vector<Request>& bucket = buckets[s];
     if (bucket.empty()) continue;
-    if (slots[s].replica != nullptr) {
-      // Offload reads the replica can serve within its watermark; the
-      // rest (all writes, and reads the replica bounced) fall through to
-      // the primary's queue in their original order.
-      size_t kept = 0;
-      for (size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i].type == OpType::kRead &&
-            TryReplicaRead(*slots[s].replica, bucket[i])) {
-          continue;
-        }
-        if (kept != i) bucket[kept] = std::move(bucket[i]);
-        ++kept;
-      }
-      bucket.resize(kept);
-      if (bucket.empty()) continue;
-    }
     if (bucket.size() <= max_batch) {
-      DispatchToShard(slots[s].shard, version, std::move(bucket), budget);
+      DispatchToShard(shards[s], version, std::move(bucket), budget);
       continue;
     }
     for (size_t i = 0; i < bucket.size(); i += max_batch) {
       const size_t end = std::min(bucket.size(), i + max_batch);
       std::vector<Request> chunk(std::make_move_iterator(bucket.begin() + i),
                                  std::make_move_iterator(bucket.begin() + end));
-      DispatchToShard(slots[s].shard, version, std::move(chunk), budget);
+      DispatchToShard(shards[s], version, std::move(chunk), budget);
     }
   }
 }
@@ -388,13 +338,8 @@ struct KvService::ScanJoin {
         }
       }
     }
-    if (orig.latency != nullptr && orig.start_nanos != 0) {
-      orig.latency->Record(NowNanos() - orig.start_nanos);
-    }
-    if (orig.done) {
-      orig.done(static_cast<RequestStatus>(worst.load(
-          std::memory_order_relaxed)));
-    }
+    orig.Complete(
+        static_cast<RequestStatus>(worst.load(std::memory_order_relaxed)));
   }
 };
 
@@ -427,7 +372,7 @@ void KvService::FanOutScan(Request req, int budget) {
     if (status == RequestStatus::kOk) {
       FanOutScan(std::move(batch[0]), budget - 1);
     } else {
-      CompleteInline(batch[0], status);
+      batch[0].Complete(status);
     }
     return;
   }
@@ -465,7 +410,7 @@ void KvService::FanOutScan(Request req, int budget) {
     // partition moved mid-fan-out and the merged result could miss a key
     // range. The caller re-submits — the synchronous Scan() wrapper does
     // so automatically.
-    CompleteInline(batch[0], Bounce(result, version, /*budget=*/0));
+    batch[0].Complete(Bounce(result, version, /*budget=*/0));
   }
 }
 
@@ -885,22 +830,7 @@ ServiceStats KvService::Stats() const {
   }
   ServiceStats stats;
   stats.shards.reserve(slots.size());
-  for (const Slot& slot : slots) {
-    ShardStats s = slot.shard->Stats();
-    if (slot.replica != nullptr) {
-      replication::ReplicaSessionStats r = slot.replica->Stats();
-      s.repl_log_tail = r.log_tail;
-      s.repl_applied = r.applied;
-      s.repl_lag = r.lag;
-      s.repl_batches = r.batches_shipped;
-      s.replica_reads = r.replica_reads;
-      s.replica_waits = r.replica_waits;
-      s.replica_bounces = r.replica_bounces;
-      s.repl_ack_failures = r.ack_failures;
-      s.replica_dead = r.dead;
-    }
-    stats.shards.push_back(s);
-  }
+  for (const Slot& slot : slots) stats.shards.push_back(slot.shard->Stats());
   stats.splits = splits_.load(std::memory_order_relaxed);
   stats.merges = merges_.load(std::memory_order_relaxed);
   stats.failovers = failovers_.load(std::memory_order_relaxed);

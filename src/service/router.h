@@ -41,12 +41,8 @@
 // gets a shadow replica — a second store + index instance fed by a
 // ReplicationLog tap on the primary's commit path and shipped by a
 // shipper thread (kLocal) or by the semi-sync ack waiters themselves
-// (kReplicated; replication/replica_session.h). Replica reads (ReadPolicy::kBounce/
-// kWait) are served inline at routing time when the replica has caught up
-// to the log tail; otherwise the request falls through to the primary.
-// Replica-served reads complete on the *submitting* thread and therefore
-// never record latency (the recorder is single-writer, owned by the
-// executing worker).
+// (kReplicated; replication/replica_session.h). The primary serves every
+// read; the replica is there to be promoted.
 #ifndef PIECES_SERVICE_ROUTER_H_
 #define PIECES_SERVICE_ROUTER_H_
 
@@ -328,10 +324,6 @@ class KvService {
   RequestStatus Bounce(Shard::EnqueueResult result, uint64_t version,
                        int budget);
   void FanOutScan(Request req, int budget);
-  // Serves a kRead inline from the replica when its watermark allows;
-  // true means the request completed (done fired). No latency recording
-  // — completion runs on the submitting thread, not the worker.
-  bool TryReplicaRead(replication::ReplicaSession& session, Request& req);
   // Blocks until the published snapshot is newer than `version` (a
   // transition in progress has not yet published). False when shutting
   // down.
@@ -358,7 +350,6 @@ class KvService {
                   uint64_t* outage_ns = nullptr);
   void PublishSnapshot(Snapshot* next);
   void RebalanceLoop();
-  static void CompleteInline(Request& req, RequestStatus status);
 
   std::string index_name_;
   ServiceConfig config_;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/spin_wait.h"
-#include "common/timer.h"
 
 namespace pieces::service {
 
@@ -21,14 +20,6 @@ uint64_t MixKey(uint64_t x) {
 
 bool IsWrite(OpType type) {
   return type != OpType::kRead && type != OpType::kScan;
-}
-
-// Records the request's latency, then fires its completion.
-void Complete(Request& req, RequestStatus status) {
-  if (req.latency != nullptr && req.start_nanos != 0) {
-    req.latency->Record(NowNanos() - req.start_nanos);
-  }
-  if (req.done) req.done(status);
 }
 
 }  // namespace
@@ -292,13 +283,13 @@ void Shard::ExecuteBatch(std::vector<Request>& batch, Scratch& scratch) {
       status = write++ < confirmed ? RequestStatus::kOk
                                    : RequestStatus::kRetry;
     }
-    Complete(held[k], status);
+    held[k].Complete(status);
   }
 }
 
 void Shard::Settle(Request& req, RequestStatus status, Scratch& scratch) {
   if (scratch.marks.empty()) {
-    Complete(req, status);
+    req.Complete(status);
   } else {
     scratch.held.push_back(status);
   }

@@ -77,7 +77,7 @@ bool RecordCore::Put(Key key, const uint8_t* value) {
     size_.fetch_add(1, std::memory_order_relaxed);
     // Durable and visible, not yet acked: the replication tap must see
     // it before the caller does.
-    EmitCommit(header.seqno, key, value, value_size_);
+    EmitCommit(key, value, value_size_);
   } else {
     // Durable but never acknowledged: zero the header under one more
     // barrier, so the false return lands only once recovery can no

@@ -71,15 +71,21 @@ void SimulatedPmem::ReadBatch(const uint8_t* const* pmem_srcs,
 }
 
 void SimulatedPmem::Write(uint8_t* pmem_dst, const void* src, size_t bytes) {
-  fault_.CheckPowered();
   Charge(write_latency_ns_);
+  // Checked under mu_, as in Persist: a write that was in flight when
+  // another writer's barrier crashed must not land after the rollback.
+  std::lock_guard<std::mutex> lock(mu_);
+  fault_.CheckPowered();
   std::memcpy(pmem_dst, src, bytes);
   bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void SimulatedPmem::Persist(const uint8_t* pmem_addr, size_t bytes) {
-  fault_.CheckPowered();
   Charge(write_latency_ns_);
+  // Under mu_: a persist that was in flight when another writer's barrier
+  // crashed must fail, not report its rolled-back bytes durable.
+  std::lock_guard<std::mutex> lock(mu_);
+  fault_.CheckPowered();
   persist_count_.fetch_add(1, std::memory_order_relaxed);
   size_t used = used_.load(std::memory_order_relaxed);
   size_t offset;
@@ -104,6 +110,7 @@ void SimulatedPmem::Persist(const uint8_t* pmem_addr, size_t bytes) {
 }
 
 void SimulatedPmem::Crash() {
+  std::lock_guard<std::mutex> lock(mu_);
   fault_.CutPower();
   RestoreDurable();
 }

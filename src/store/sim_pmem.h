@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "store/fault_device.h"
@@ -78,7 +79,7 @@ class SimulatedPmem {
 
  private:
   void Charge(uint64_t ns) const;
-  // Rolls the arena back to the durable image.
+  // Rolls the arena back to the durable image. Called with mu_ held.
   void RestoreDurable();
 
   size_t capacity_;
@@ -90,6 +91,10 @@ class SimulatedPmem {
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> persist_count_{0};
   uint8_t* durable_;  // calloc'd: zero until persisted, lazily committed
+  // Orders every write and persist (power check, then commit) against a
+  // crash's rollback. The injected latency is charged outside it, so
+  // concurrent writers still overlap their stalls.
+  std::mutex mu_;
   FaultDevice fault_;
 };
 

@@ -36,7 +36,6 @@ namespace pieces {
 // caller not yet acked. `value` points into the store's write buffer and
 // is valid only for the duration of the OnCommit call.
 struct CommitRecord {
-  uint64_t seqno = 0;  // the record's commit-header seqno
   Key key = 0;
   const uint8_t* value = nullptr;
   size_t value_size = 0;
@@ -44,8 +43,7 @@ struct CommitRecord {
 
 // Replication seam (src/replication/): a tap installed on a store sees
 // every committed put *before* the caller's acknowledgement, which is what
-// makes read-your-writes watermarks and replication-synchronous acks
-// possible downstream. Bulk loads are intentionally not tapped — a replica
+// makes replication-synchronous acks possible downstream. Bulk loads are intentionally not tapped — a replica
 // is seeded from the quiesced bulk image instead of replaying O(n)
 // two-barrier puts.
 class CommitTap {
@@ -163,11 +161,9 @@ class StoreBackend {
 
  protected:
   // Commit-path helper for backends: announce a committed record.
-  void EmitCommit(uint64_t seqno, Key key, const uint8_t* value,
-                  size_t value_size) const {
+  void EmitCommit(Key key, const uint8_t* value, size_t value_size) const {
     if (commit_tap_ == nullptr) return;
     CommitRecord record;
-    record.seqno = seqno;
     record.key = key;
     record.value = value;
     record.value_size = value_size;

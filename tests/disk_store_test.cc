@@ -1,8 +1,8 @@
 // DiskStore integration tests: the end-to-end KV path over the paged
-// file + buffer pool, a crash sweep under concurrent writers, and a
-// three-way differential (DiskStore vs ViperStore vs std::map) on a
-// dataset far larger than the pool. The single-writer crash sweeps run
-// on both media in crash_sweep_test.cc.
+// file + buffer pool, a crash sweep under concurrent writers (run on
+// both media), and a three-way differential (DiskStore vs ViperStore vs
+// std::map) on a dataset far larger than the pool. The single-writer
+// crash sweeps run on both media in crash_sweep_test.cc.
 #include "store/disk_store.h"
 
 #include <unistd.h>
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,7 +44,7 @@ DiskStore::Config SmallConfig(const char* tag, size_t pool_pages = 64) {
   return cfg;
 }
 
-void ExpectSynthetic(const DiskStore& store, Key key, const char* ctx) {
+void ExpectSynthetic(const StoreBackend& store, Key key, const char* ctx) {
   std::vector<uint8_t> got(store.value_size());
   ASSERT_TRUE(store.Get(key, got.data())) << ctx << " key=" << key;
   std::vector<uint8_t> want(store.value_size());
@@ -365,12 +366,14 @@ TEST(DiskStoreReadaheadTest, SequentialSweepHitsReadaheadPages) {
 
 // ---- Concurrent writers -----------------------------------------------
 
-// Crash sweep with 4 concurrent writers, whose barriers interleave while
-// write_mu_ is released: arm every barrier the stream is guaranteed to
-// cross, at every tear shape. Oracle: every acked put survives with the
-// right payload; anything else present must be an attempted key with a
-// fully-valid record (CRC kills torn ones); loaded keys never disappear.
-TEST(DiskStoreCrashSweepTest, ConcurrentWritersEveryBarrierEveryTear) {
+// Crash sweep with 4 concurrent writers, whose barriers interleave: arm
+// every barrier the stream is guaranteed to cross, at every tear shape.
+// Oracle: every acked put survives with the right payload; anything else
+// present must be an attempted key with a fully-valid record (CRC kills
+// torn ones); loaded keys never disappear. `make_store` builds a fresh
+// store per sweep point.
+void SweepConcurrentWriters(
+    const std::function<std::unique_ptr<RecordCore>()>& make_store) {
   std::vector<Key> keys = MakeUniformKeys(600, 43);
   std::vector<Key> load, inserts;
   SplitLoadAndInserts(keys, 3, &load, &inserts);
@@ -385,10 +388,9 @@ TEST(DiskStoreCrashSweepTest, ConcurrentWritersEveryBarrierEveryTear) {
   std::sort(load.begin(), load.end());
   for (uint64_t barrier = 1; barrier <= kBarriers; ++barrier) {
     for (int64_t tear : tears) {
-      DiskStore store(MakeIndex("BTree"), SmallConfig("cwsweep", 16));
-      ASSERT_TRUE(store.ok());
-      ASSERT_TRUE(store.BulkLoad(load));
-      store.fault().FailAfterBarriers(barrier, tear);
+      std::unique_ptr<RecordCore> store = make_store();
+      ASSERT_TRUE(store->BulkLoad(load));
+      store->fault().FailAfterBarriers(barrier, tear);
       std::vector<std::vector<Key>> acked(kThreads);
       std::vector<std::thread> writers;
       for (size_t t = 0; t < kThreads; ++t) {
@@ -396,7 +398,7 @@ TEST(DiskStoreCrashSweepTest, ConcurrentWritersEveryBarrierEveryTear) {
           for (size_t i = 0; i < kPutsPerThread; ++i) {
             Key key = inserts[t * kPutsPerThread + i];
             try {
-              if (store.PutSynthetic(key)) acked[t].push_back(key);
+              if (store->PutSynthetic(key)) acked[t].push_back(key);
             } catch (const SimulatedCrash&) {
               return;  // power is gone; this writer is dead
             }
@@ -404,23 +406,23 @@ TEST(DiskStoreCrashSweepTest, ConcurrentWritersEveryBarrierEveryTear) {
         });
       }
       for (auto& th : writers) th.join();
-      ASSERT_TRUE(store.fault().crashed())
+      ASSERT_TRUE(store->fault().crashed())
           << "barrier " << barrier << " never fired";
-      store.Recover();
+      store->Recover();
       const std::string ctx = "barrier=" + std::to_string(barrier) +
                               " tear=" + std::to_string(tear);
       for (const auto& thread_acked : acked) {
-        for (Key k : thread_acked) ExpectSynthetic(store, k, ctx.c_str());
+        for (Key k : thread_acked) ExpectSynthetic(*store, k, ctx.c_str());
       }
       for (Key k : load) {
-        std::vector<uint8_t> buf(store.value_size());
-        ASSERT_TRUE(store.Get(k, buf.data())) << ctx << " lost " << k;
+        std::vector<uint8_t> buf(store->value_size());
+        ASSERT_TRUE(store->Get(k, buf.data())) << ctx << " lost " << k;
       }
       // Enumerate everything the recovered store holds: each key must be
       // a loaded or attempted one, and must read back exactly (recovery
       // trusts only whole CRC-valid records).
       std::vector<Key> present;
-      store.Scan(0, load.size() + inserts.size() + 16, &present);
+      store->Scan(0, load.size() + inserts.size() + 16, &present);
       for (Key k : present) {
         const bool loaded = std::binary_search(load.begin(), load.end(), k);
         bool attempted = false;
@@ -433,10 +435,36 @@ TEST(DiskStoreCrashSweepTest, ConcurrentWritersEveryBarrierEveryTear) {
           }
         }
         ASSERT_TRUE(loaded || attempted) << ctx << " phantom key " << k;
-        ExpectSynthetic(store, k, (ctx + " present-key").c_str());
+        ExpectSynthetic(*store, k, (ctx + " present-key").c_str());
       }
     }
   }
+}
+
+// DiskStore's writers release write_mu_ while their fsyncs are in flight.
+TEST(DiskStoreCrashSweepTest, ConcurrentWritersEveryBarrierEveryTear) {
+  SweepConcurrentWriters([] {
+    auto store = std::make_unique<DiskStore>(MakeIndex("BTree"),
+                                             SmallConfig("cwsweep", 16));
+    EXPECT_TRUE(store->ok()) << store->error();
+    return store;
+  });
+}
+
+// ViperStore's writers run fully in parallel on a concurrent-writes
+// index; the injected write latency keeps other writers' persists in
+// flight while the armed one crashes, and none of them may report its
+// rolled-back record durable.
+TEST(ViperStoreCrashSweepTest, ConcurrentWritersEveryBarrierEveryTear) {
+  SweepConcurrentWriters([] {
+    ViperStore::Config cfg;
+    cfg.value_size = 200;
+    cfg.pmem_capacity = size_t{16} << 20;
+    cfg.write_latency_ns = 100'000;
+    auto store = std::make_unique<ViperStore>(MakeIndex("ALEX"), cfg);
+    EXPECT_TRUE(store->index().SupportsConcurrentWrites());
+    return store;
+  });
 }
 
 // Each put is committed and tapped on its own writer's thread, so right

@@ -92,10 +92,8 @@ std::vector<Key> BaseKeys(size_t n) {
 // Pipeline units
 // ---------------------------------------------------------------------------
 
-CommitRecord MakeCommit(uint64_t seqno, Key key,
-                        const std::vector<uint8_t>& value) {
+CommitRecord MakeCommit(Key key, const std::vector<uint8_t>& value) {
   CommitRecord rec;
-  rec.seqno = seqno;
   rec.key = key;
   rec.value = value.data();
   rec.value_size = value.size();
@@ -106,9 +104,9 @@ TEST(ReplicationLogTest, AppendReadTruncate) {
   ReplicationLog log;
   EXPECT_EQ(log.tail(), 0u);
   std::vector<uint8_t> v0 = OpValue(0), v1 = OpValue(1), v2 = OpValue(2);
-  log.OnCommit(MakeCommit(7, 10, v0));
-  log.OnCommit(MakeCommit(8, 20, v1));
-  log.OnCommit(MakeCommit(9, 10, v2));
+  log.OnCommit(MakeCommit(10, v0));
+  log.OnCommit(MakeCommit(20, v1));
+  log.OnCommit(MakeCommit(10, v2));
   EXPECT_EQ(log.tail(), 3u);
   // This thread appended record index 2; its watermark covers exactly it.
   EXPECT_EQ(log.ThisThreadWatermark(), 3u);
@@ -117,7 +115,6 @@ TEST(ReplicationLogTest, AppendReadTruncate) {
   EXPECT_EQ(log.Read(0, 10, &out), 3u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].key, 10u);
-  EXPECT_EQ(out[0].primary_seqno, 7u);
   EXPECT_EQ(out[0].value, v0);
   EXPECT_EQ(out[2].key, 10u);
   EXPECT_EQ(out[2].value, v2);
@@ -143,7 +140,7 @@ TEST(ReplicationLogTest, WaitTailAndClose) {
   EXPECT_FALSE(log.WaitTail(0, 1000));
   std::thread writer([&] {
     std::vector<uint8_t> v = OpValue(1);
-    log.OnCommit(MakeCommit(1, 5, v));
+    log.OnCommit(MakeCommit(5, v));
   });
   EXPECT_TRUE(log.WaitTail(0, 2'000'000));
   writer.join();
@@ -152,14 +149,14 @@ TEST(ReplicationLogTest, WaitTailAndClose) {
   // Closed log: waiters wake immediately, appends still record.
   EXPECT_FALSE(log.WaitTail(1, 10'000'000));
   std::vector<uint8_t> v = OpValue(2);
-  log.OnCommit(MakeCommit(2, 6, v));
+  log.OnCommit(MakeCommit(6, v));
   EXPECT_EQ(log.tail(), 2u);
 }
 
 TEST(ReplicationLogTest, ThreadWatermarkIsPerThread) {
   ReplicationLog log;
   std::vector<uint8_t> v = OpValue(3);
-  log.OnCommit(MakeCommit(1, 5, v));
+  log.OnCommit(MakeCommit(5, v));
   uint64_t other_thread_watermark = 0;
   std::thread t([&] {
     // This thread never appended: the fallback is the (conservative)
@@ -171,19 +168,23 @@ TEST(ReplicationLogTest, ThreadWatermarkIsPerThread) {
   EXPECT_EQ(log.ThisThreadWatermark(), 1u);
 }
 
+constexpr InProcessTransport::Clock::time_point kNoDeadline =
+    InProcessTransport::Clock::time_point::max();
+
 TEST(TransportTest, FailAfterDeliversExactPrefix) {
   Replica replica(MakeStore("BTree"));
   InProcessTransport transport(&replica);
   transport.FailAfter(2);
   std::vector<LogRecord> batch(3);
   for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i].primary_seqno = i + 1;
     batch[i].key = 1000 + i;
     batch[i].value = OpValue(i);
   }
   // Short delivery: exactly 2 of 3, then the link is down for good.
-  EXPECT_EQ(transport.Ship({batch.data(), batch.size()}), 2u);
-  EXPECT_EQ(transport.Ship({batch.data(), batch.size()}), 0u);
+  EXPECT_EQ(transport.Ship({batch.data(), batch.size()}, kNoDeadline, nullptr),
+            2u);
+  EXPECT_EQ(transport.Ship({batch.data(), batch.size()}, kNoDeadline, nullptr),
+            0u);
   EXPECT_EQ(replica.applied(), 2u);
   bool gone = false;
   std::vector<uint8_t> out(kValueSize);
@@ -201,7 +202,9 @@ TEST(TransportTest, GateHoldsDeliveryUntilReleased) {
   batch[0].key = 42;
   batch[0].value = OpValue(9);
   std::thread shipper([&] {
-    EXPECT_EQ(transport.Ship({batch.data(), batch.size()}), 1u);
+    EXPECT_EQ(
+        transport.Ship({batch.data(), batch.size()}, kNoDeadline, nullptr),
+        1u);
     delivered.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -221,7 +224,6 @@ TEST(ReplicationTransportTest, DeadlineSeparatesStalledFromDead) {
   InProcessTransport transport(&replica);
   std::vector<LogRecord> batch(2);
   for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i].primary_seqno = i + 1;
     batch[i].key = 2000 + i;
     batch[i].value = OpValue(i);
   }
@@ -482,132 +484,8 @@ TEST(FailoverSweepConcurrent, AckedOracleHoldsUnderConcurrentWriters) {
 }
 
 // ---------------------------------------------------------------------------
-// Read-your-writes at the session gate
+// Semi-sync acks
 // ---------------------------------------------------------------------------
-
-TEST(ReplicaReadGate, BouncesBehindWatermarkServesWhenCaughtUp) {
-  ReplicationConfig cfg = SessionCfg();
-  cfg.reads = ReplicationConfig::ReadPolicy::kBounce;
-  auto primary = MakeStore("BTree");
-  ASSERT_TRUE(primary->BulkLoad(BaseKeys(16)));
-  ReplicaSession session(MakeStore("BTree"), cfg);
-  primary->SetCommitTap(session.log());
-  ASSERT_TRUE(session.SeedFromPrimary(*primary));
-  session.Start();
-
-  // Stall the link, then commit: the replica is pinned behind the
-  // watermark, so the read MUST bounce — serving it would be stale.
-  session.transport()->SetGated(true);
-  const std::vector<uint8_t> fresh = OpValue(77);
-  ASSERT_TRUE(primary->Put(100, fresh.data()));
-  std::vector<uint8_t> out(kValueSize);
-  bool found = false;
-  EXPECT_FALSE(session.TryRead(100, out.data(), &found));
-  EXPECT_GE(session.Stats().replica_bounces, 1u);
-
-  // Release and catch up: now the replica serves, with the fresh bytes.
-  session.transport()->SetGated(false);
-  ASSERT_TRUE(session.WaitCaughtUp(2'000'000));
-  ASSERT_TRUE(session.TryRead(100, out.data(), &found));
-  EXPECT_TRUE(found);
-  EXPECT_EQ(out, fresh);
-  EXPECT_GE(session.Stats().replica_reads, 1u);
-}
-
-TEST(ReplicaReadGate, WaitPolicyBlocksUntilCatchUpOrBounces) {
-  ReplicationConfig cfg = SessionCfg();
-  cfg.reads = ReplicationConfig::ReadPolicy::kWait;
-  cfg.read_wait_timeout_us = 2'000'000;
-  auto primary = MakeStore("BTree");
-  ASSERT_TRUE(primary->BulkLoad(BaseKeys(16)));
-  ReplicaSession session(MakeStore("BTree"), cfg);
-  primary->SetCommitTap(session.log());
-  ASSERT_TRUE(session.SeedFromPrimary(*primary));
-  session.Start();
-
-  // Behind the watermark with the link stalled: the read waits at the
-  // gate; a helper releases the stall and the read completes fresh.
-  session.transport()->SetGated(true);
-  const std::vector<uint8_t> fresh = OpValue(88);
-  ASSERT_TRUE(primary->Put(110, fresh.data()));
-  std::thread release([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    session.transport()->SetGated(false);
-  });
-  std::vector<uint8_t> out(kValueSize);
-  bool found = false;
-  EXPECT_TRUE(session.TryRead(110, out.data(), &found));
-  EXPECT_TRUE(found);
-  EXPECT_EQ(out, fresh);
-  release.join();
-  replication::ReplicaSessionStats stats = session.Stats();
-  EXPECT_GE(stats.replica_waits, 1u);
-
-  // Timeout path: stall again with a tiny bound — the wait gives up and
-  // the read bounces rather than serving stale bytes.
-  session.transport()->SetGated(true);
-  ASSERT_TRUE(primary->Put(120, OpValue(99).data()));
-  // (Config is per-session; emulate the tiny bound with a fresh session
-  // pinned behind its watermark.)
-  session.transport()->SetGated(false);
-  session.Stop();
-
-  ReplicationConfig tiny = cfg;
-  tiny.read_wait_timeout_us = 1000;
-  auto primary2 = MakeStore("BTree");
-  ASSERT_TRUE(primary2->BulkLoad(BaseKeys(16)));
-  ReplicaSession slow(MakeStore("BTree"), tiny);
-  primary2->SetCommitTap(slow.log());
-  ASSERT_TRUE(slow.SeedFromPrimary(*primary2));
-  slow.Start();
-  slow.transport()->SetGated(true);
-  ASSERT_TRUE(primary2->Put(130, OpValue(5).data()));
-  EXPECT_FALSE(slow.TryRead(130, out.data(), &found));
-  EXPECT_GE(slow.Stats().replica_bounces, 1u);
-  slow.transport()->SetGated(false);
-}
-
-// Never-stale conformance loop: every acked write is immediately visible
-// through the gate — each served read returns the latest acked bytes,
-// never a predecessor's.
-TEST(ReplicaReadGate, ServedReadsAreNeverStale) {
-  ReplicationConfig cfg = SessionCfg();
-  cfg.reads = ReplicationConfig::ReadPolicy::kBounce;
-  auto primary = MakeStore("ALEX");
-  ASSERT_TRUE(primary->BulkLoad(BaseKeys(16)));
-  ReplicaSession session(MakeStore("ALEX"), cfg);
-  primary->SetCommitTap(session.log());
-  ASSERT_TRUE(session.SeedFromPrimary(*primary));
-  session.Start();
-
-  constexpr Key kKey = 100;
-  std::vector<uint8_t> out(kValueSize);
-  size_t served = 0;
-  for (uint64_t i = 0; i < 200; ++i) {
-    const std::vector<uint8_t> value = OpValue(i);
-    ASSERT_TRUE(primary->Put(kKey, value.data()));
-    bool found = false;
-    if (session.TryRead(kKey, out.data(), &found)) {
-      ASSERT_TRUE(found);
-      // Single writer: a served read at the post-put watermark must see
-      // exactly this write (no later one exists yet).
-      ASSERT_EQ(out, value) << "stale replica read at op " << i;
-      ++served;
-    }
-  }
-  // The loop races the shipper, so `served` can legitimately be anything
-  // from 0 to 200 — the property above is that whatever served was never
-  // stale. Liveness is checked deterministically: once the replica is
-  // caught up to this thread's watermark, the gate must open.
-  const std::vector<uint8_t> last = OpValue(999);
-  ASSERT_TRUE(primary->Put(kKey, last.data()));
-  ASSERT_TRUE(session.WaitCaughtUp());
-  bool found = false;
-  ASSERT_TRUE(session.TryRead(kKey, out.data(), &found));
-  ASSERT_TRUE(found);
-  EXPECT_EQ(out, last);
-  EXPECT_GE(served + 1, 1u);
-}
 
 // Semi-sync ack on a healthy link: every write confirms; on a dead link:
 // every write degrades to unacked, and the failure counter ticks.

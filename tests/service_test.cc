@@ -14,7 +14,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/timer.h"
 #include "workload/datasets.h"
 
 namespace pieces::service {
@@ -361,18 +360,13 @@ TEST(ServiceTest, AdmissionRejectIsDeterministicAndCounted) {
   }
   EXPECT_EQ(completed.load(), 0);  // Queued, not yet executed.
 
-  LatencyRecorder reject_latency;
   RequestStatus rejected_status = RequestStatus::kOk;
   Request extra;
   extra.type = OpType::kRead;
   extra.key = keys[9];
-  extra.start_nanos = NowNanos();
-  extra.latency = &reject_latency;
   extra.done = [&](RequestStatus st) { rejected_status = st; };
   svc.Submit(std::move(extra));
   EXPECT_EQ(rejected_status, RequestStatus::kRejected);
-  // Rejected requests never record latency.
-  EXPECT_EQ(reject_latency.Count(), 0u);
   EXPECT_EQ(svc.Stats().total_rejected(), 1u);
 
   // Once the worker runs, every accepted request completes.
