@@ -136,7 +136,6 @@ void RunRebalance(Context& ctx) {
     // this configuration can add workers.
     ServiceConfig cfg = BaseConfig(1, load, headroom);
     cfg.rebalance.enabled = true;
-    cfg.rebalance.poll_interval_ms = 1;
     // Saturating clients keep roughly `clients` requests in flight; any
     // shard sustaining half of them is hot enough to split.
     cfg.rebalance.split_queue_depth = std::max<size_t>(2, clients / 2);

@@ -17,8 +17,8 @@ namespace pieces::bench {
 
 struct Context {
   ResultSink& sink;
-  // Dataset-size baseline: the paper's 200M stand-in (default 200k,
-  // multiplied by PIECES_SCALE; the smoke path shrinks it).
+  // Dataset-size baseline: the paper's 200M stand-in (default 200k;
+  // --keys=200000·k scales it by k, and the smoke path shrinks it).
   size_t base_keys = 200'000;
   // Op-stream length baseline; experiments that historically used a
   // fraction/multiple of 200k ops scale off this.
@@ -35,9 +35,9 @@ struct Context {
   // Multi-get width (--batch): read-only phases route through
   // ViperStore::GetBatch in groups of this many keys. 1 = single-key Gets.
   size_t batch = 1;
-  // Writable directory for disk-backend page files (--data-dir /
-  // PIECES_DATA_DIR; the driver guarantees it exists and is writable, and
-  // removes it on exit when it created the default temp dir itself).
+  // Writable directory for disk-backend page files (--data-dir; the
+  // driver guarantees it exists and is writable, and removes it on exit
+  // when it created the default temp dir itself).
   std::string data_dir = "/tmp";
 };
 

@@ -15,7 +15,6 @@
 
 #include "bench/experiment.h"
 #include "common/cli.h"
-#include "common/config.h"
 #include "common/report.h"
 
 namespace pieces::bench {
@@ -29,7 +28,7 @@ Usage: pieces_bench [flags]
   --format=table,json,csv  output formats (default: table)
   --out=DIR              write json/csv to DIR/<experiment>.{jsonl,csv}
                          (default: stdout)
-  --keys=N               dataset-size baseline (default: 200000 x PIECES_SCALE)
+  --keys=N               dataset-size baseline (default: 200000)
   --ops=N                op-stream length baseline (default: 200000)
   --duration=SECONDS     time-based mode: measured passes loop over the op
                          stream for SECONDS instead of one traversal
@@ -39,15 +38,14 @@ Usage: pieces_bench [flags]
   --warmup=N             untimed warmup ops before each measured run (default 0)
   --repeats=N            measured repetitions, throughput averaged (default 1)
   --threads=N            thread ceiling for multi-threaded experiments
-                         (default: PIECES_THREADS or 4)
+                         (default: 4)
   --data-dir=PATH        writable directory for disk-backend page files
-                         (default: $PIECES_DATA_DIR, else a per-run temp
-                         directory removed on exit)
+                         (default: a per-run temp directory removed on exit)
   --smoke                tiny-scale preset (keys=4096 ops=2000) for CI smoke
   --help                 this text
 
-Env knobs: PIECES_SCALE, PIECES_NVM_READ_NS, PIECES_NVM_WRITE_NS,
-PIECES_THREADS, PIECES_DATA_DIR (see README.md).
+Env knobs: PIECES_NVM_READ_NS, PIECES_NVM_WRITE_NS (injected medium
+latency; see README.md).
 )";
 
 const std::vector<std::string> kKnownFlags = {
@@ -108,8 +106,7 @@ int Main(int argc, char** argv) {
   const bool smoke = flags.GetBool("smoke");
   ResultSink sink(sink_opts);
   Context ctx{sink};
-  ctx.base_keys = flags.GetU64(
-      "keys", smoke ? 4096 : 200'000 * BenchScale());
+  ctx.base_keys = flags.GetU64("keys", smoke ? 4096 : 200'000);
   ctx.ops = flags.GetU64("ops", smoke ? 2000 : 200'000);
   flags.CheckMutuallyExclusive("ops", "duration");
   ctx.duration_seconds =
@@ -121,14 +118,13 @@ int Main(int argc, char** argv) {
   }
   ctx.warmup_ops = flags.GetU64("warmup", 0);
   ctx.repeats = flags.GetU64("repeats", 1);
-  ctx.max_threads = flags.GetU64("threads", BenchMaxThreads());
+  ctx.max_threads = flags.GetU64("threads", 4);
 
-  // Disk-backend data directory: flag beats env beats a per-run temp dir
-  // (which we create now and remove on exit — the page stores unlink
-  // their own files). The probe catches an unwritable path up front with
-  // a clear error instead of an abort deep inside shard construction.
+  // Disk-backend data directory: the flag, else a per-run temp dir (which
+  // we create now and remove on exit — the page stores unlink their own
+  // files). The probe catches an unwritable path up front with a clear
+  // error instead of an abort deep inside shard construction.
   std::string data_dir = flags.GetString("data-dir");
-  if (data_dir.empty()) data_dir = BenchDataDir();
   bool created_data_dir = false;
   if (data_dir.empty()) {
     data_dir = "/tmp/pieces_bench_data." + std::to_string(::getpid());
@@ -142,8 +138,7 @@ int Main(int argc, char** argv) {
     if (f == nullptr) {
       std::fprintf(stderr,
                    "pieces_bench: data dir '%s' is not writable "
-                   "(--data-dir or PIECES_DATA_DIR must name a writable "
-                   "directory)\n",
+                   "(--data-dir must name a writable directory)\n",
                    data_dir.c_str());
       return 2;
     }

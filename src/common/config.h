@@ -1,7 +1,7 @@
-// Environment-driven configuration knobs shared by tests, benches and
-// examples. All paper-scale parameters (dataset sizes, NVM latency) are
-// scaled through these so a laptop run reproduces the figures' shapes and
-// `PIECES_SCALE` can push sizes toward the paper's 200M-800M keys.
+// Environment-driven configuration knobs: the injected NVM latencies
+// (PIECES_NVM_READ_NS, PIECES_NVM_WRITE_NS) and the strict integer parser
+// behind them. Dataset size, thread ceiling and data directory are
+// pieces_bench flags (--keys, --threads, --data-dir), not env variables.
 #ifndef PIECES_COMMON_CONFIG_H_
 #define PIECES_COMMON_CONFIG_H_
 
@@ -33,9 +33,9 @@ inline bool ParseU64Strict(const char* s, uint64_t* out) {
 }
 
 // Returns the integer value of environment variable `name`, or `def` when
-// unset. A set-but-unparsable value (e.g. PIECES_SCALE=10x) falls back to
-// `def` and prints a one-time warning to stderr instead of silently
-// truncating at the first non-digit.
+// unset. A set-but-unparsable value (e.g. PIECES_NVM_READ_NS=10x) falls
+// back to `def` and prints a one-time warning to stderr instead of
+// silently truncating at the first non-digit.
 inline uint64_t GetEnvU64(const char* name, uint64_t def) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
@@ -55,26 +55,12 @@ inline uint64_t GetEnvU64(const char* name, uint64_t def) {
   return parsed;
 }
 
-// Global multiplier applied to bench dataset sizes (default 1).
-inline uint64_t BenchScale() { return GetEnvU64("PIECES_SCALE", 1); }
-
 // Injected simulated-NVM latencies in nanoseconds (default 0 = plain DRAM).
 inline uint64_t NvmReadLatencyNs() {
   return GetEnvU64("PIECES_NVM_READ_NS", 0);
 }
 inline uint64_t NvmWriteLatencyNs() {
   return GetEnvU64("PIECES_NVM_WRITE_NS", 0);
-}
-
-// Thread-count ceiling for the multi-thread benches.
-inline uint64_t BenchMaxThreads() { return GetEnvU64("PIECES_THREADS", 4); }
-
-// Directory for disk-backend page files (empty = let the bench driver
-// pick a per-run temp directory that it removes on exit). The --data-dir
-// flag overrides this env knob.
-inline std::string BenchDataDir() {
-  const char* v = std::getenv("PIECES_DATA_DIR");
-  return v == nullptr ? std::string() : std::string(v);
 }
 
 }  // namespace pieces

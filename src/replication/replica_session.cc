@@ -63,9 +63,9 @@ void ReplicaSession::ShipLoop() {
       if (stopping_ || dead_) return;
       next = acked_;
     }
-    // No timeout: Stop() sets stopping_ and then closes the log, which is
-    // the only way the wait returns false.
-    if (!log_->WaitTail(next, 0)) return;
+    // Stop() sets stopping_ and then closes the log, which is the only way
+    // the wait returns false.
+    if (!log_->WaitTail(next)) return;
     ShipUntil(log_->tail(), Clock::time_point::max(), /*spin=*/false);
   }
 }

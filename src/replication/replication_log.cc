@@ -1,7 +1,6 @@
 #include "replication/replication_log.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace pieces::replication {
 
@@ -56,14 +55,10 @@ void ReplicationLog::TruncateTo(uint64_t upto) {
   }
 }
 
-bool ReplicationLog::WaitTail(uint64_t beyond, uint64_t timeout_us) const {
+bool ReplicationLog::WaitTail(uint64_t beyond) const {
   std::unique_lock<std::mutex> lock(mu_);
-  auto ready = [&] { return closed_ || base_ + records_.size() > beyond; };
-  if (timeout_us == 0) {
-    grew_.wait(lock, ready);
-  } else {
-    grew_.wait_for(lock, std::chrono::microseconds(timeout_us), ready);
-  }
+  grew_.wait(lock,
+             [&] { return closed_ || base_ + records_.size() > beyond; });
   return base_ + records_.size() > beyond;
 }
 
@@ -73,11 +68,6 @@ void ReplicationLog::Close() {
     closed_ = true;
   }
   grew_.notify_all();
-}
-
-bool ReplicationLog::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
 }
 
 uint64_t ReplicationLog::ThisThreadWatermark() const {

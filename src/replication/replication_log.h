@@ -55,15 +55,14 @@ class ReplicationLog : public CommitTap {
   // Drops records below log index `upto` (they are shipped and applied).
   void TruncateTo(uint64_t upto);
 
-  // Blocks until tail() > `beyond`, the timeout expires (0: no timeout),
-  // or the log is closed. Returns tail() > beyond.
-  bool WaitTail(uint64_t beyond, uint64_t timeout_us) const;
+  // Blocks until tail() > `beyond` or the log is closed. Returns
+  // tail() > beyond.
+  bool WaitTail(uint64_t beyond) const;
 
   // Wakes every waiter permanently (session teardown). Appends after
   // Close are still recorded — a racing writer's tap must not be lost —
   // but nothing will ship them.
   void Close();
-  bool closed() const;
 
   // The log index one past the record this thread most recently appended
   // to *this* log, i.e. the watermark that covers exactly that write.

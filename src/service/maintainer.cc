@@ -1,7 +1,6 @@
 #include "service/maintainer.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/epoch.h"
 #include "common/timer.h"
@@ -65,13 +64,11 @@ void Maintainer::Loop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      wake_.wait_for(lock,
-                     std::chrono::microseconds(config_.poll_interval_us),
-                     [&] { return stopping_; });
+      wake_.wait_for(lock, kPollInterval, [&] { return stopping_; });
       if (stopping_) return;
     }
     candidates.clear();
-    hook_->CollectDrift(config_.drift_threshold, &candidates);
+    hook_->CollectDrift(kDriftThreshold, &candidates);
     scans_.fetch_add(1, std::memory_order_relaxed);
     for (size_t ci = 0; ci < candidates.size(); ++ci) {
       const DriftCandidate& cand = candidates[ci];

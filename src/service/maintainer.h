@@ -14,6 +14,7 @@
 #define PIECES_SERVICE_MAINTAINER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -27,15 +28,9 @@ namespace pieces::service {
 struct MaintenanceConfig {
   // Off by default: the paper's single-writer benches must be unaffected.
   bool enabled = false;
-  // CollectDrift pressure threshold. 1.0 = the inline-retrain point; the
-  // default retrains segments at 75% of it so the merge is off-thread
-  // *before* the serving thread would have stalled.
-  double drift_threshold = 0.75;
   // Retraining budget: max segments prepared per second across the shard
   // (token bucket, burst = one second's worth). <= 0 means unlimited.
   double segments_per_sec = 0;
-  // Idle poll interval between CollectDrift rounds.
-  uint64_t poll_interval_us = 500;
 };
 
 struct MaintainerStats {
@@ -67,6 +62,13 @@ class Maintainer {
   void Loop();
   // Token-bucket admission for one retrain; always true when unlimited.
   bool TakeToken();
+
+  // CollectDrift pressure threshold. 1.0 is the inline-retrain point;
+  // retraining at 75% of it moves the merge off-thread *before* the
+  // serving thread would have stalled.
+  static constexpr double kDriftThreshold = 0.75;
+  // Idle wait between CollectDrift rounds.
+  static constexpr std::chrono::microseconds kPollInterval{500};
 
   MaintenanceHook* const hook_;
   const MaintenanceConfig config_;

@@ -37,8 +37,6 @@ enum class RequestStatus : uint8_t {
                // confirm it within the ack timeout.
 };
 
-const char* RequestStatusName(RequestStatus status);
-
 // One KV request. The client owns `value`/`out`/`scan_out` until `done`
 // fires. Completions run inline on the executing shard's worker thread
 // (or on the submitting thread for rejected/shutdown requests), so they

@@ -13,26 +13,6 @@
 
 namespace pieces::service {
 
-const char* RequestStatusName(RequestStatus status) {
-  switch (status) {
-    case RequestStatus::kOk:
-      return "ok";
-    case RequestStatus::kNotFound:
-      return "not_found";
-    case RequestStatus::kStoreFull:
-      return "store_full";
-    case RequestStatus::kRejected:
-      return "rejected";
-    case RequestStatus::kShutdown:
-      return "shutdown";
-    case RequestStatus::kInvalid:
-      return "invalid";
-    case RequestStatus::kRetry:
-      return "retry";
-  }
-  return "unknown";
-}
-
 RangePartition::RangePartition(size_t num_shards, std::vector<Key> sample)
     : num_shards_(num_shards == 0 ? 1 : num_shards) {
   if (num_shards_ == 1) return;
@@ -723,28 +703,21 @@ RebalanceAction ChooseRebalanceAction(const std::vector<double>& depths,
       keys[hottest] >= config.min_split_keys) {
     return {RebalanceAction::Kind::kSplit, hottest};
   }
-  if (config.merge_max_keys == 0) return {};
-  const double idle = split_depth * 0.25;
-  for (size_t i = 0; i + 1 < depths.size(); ++i) {
-    if (depths[i] < idle && depths[i + 1] < idle &&
-        keys[i] + keys[i + 1] <= config.merge_max_keys) {
-      return {RebalanceAction::Kind::kMerge, i};
-    }
-  }
   return {};
 }
 
 void KvService::RebalanceLoop() {
-  // Pressure smoothing: ewma += kEwmaAlpha * (depth - ewma).
+  // Pressure smoothing: ewma += kEwmaAlpha * (depth - ewma), sampled
+  // every kPollInterval.
   constexpr double kEwmaAlpha = 0.3;
+  constexpr std::chrono::milliseconds kPollInterval{1};
   const RebalanceConfig& rb = config_.rebalance;
   uint64_t last_version = 0;
   std::vector<double> ewma;
   std::vector<size_t> keys;
   uint64_t cooldown_until = 0;
   while (!stop_rebalancer_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(rb.poll_interval_ms));
+    std::this_thread::sleep_for(kPollInterval);
     {
       EpochGuard guard;
       Snapshot* snap = snapshot_.load(std::memory_order_acquire);
@@ -765,11 +738,10 @@ void KvService::RebalanceLoop() {
     if (NowNanos() < cooldown_until) continue;
     const RebalanceAction action =
         ChooseRebalanceAction(ewma, keys, rb, config_.queue_capacity);
-    using Kind = RebalanceAction::Kind;
-    const bool done = action.kind == Kind::kSplit   ? SplitShard(action.shard)
-                      : action.kind == Kind::kMerge ? MergeShards(action.shard)
-                                                    : false;
-    if (done) cooldown_until = NowNanos() + rb.cooldown_ms * 1000000;
+    if (action.kind == RebalanceAction::Kind::kSplit &&
+        SplitShard(action.shard)) {
+      cooldown_until = NowNanos() + rb.cooldown_ms * 1000000;
+    }
   }
 }
 

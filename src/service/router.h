@@ -34,8 +34,8 @@
 // slot in place and keeps the boundaries. A request that raced the swap
 // re-routes against the fresh snapshot (a bounded number of times, then
 // completes with kRetry). An optional rebalancer thread watches
-// per-shard queue-depth pressure and triggers splits (and merges of cold
-// adjacent shards) automatically.
+// per-shard queue-depth pressure and triggers splits automatically;
+// merges happen only when a caller asks for one (MergeShards).
 //
 // Replication (ServiceConfig::replication, off by default): every shard
 // gets a shadow replica — a second store + index instance fed by a
@@ -91,14 +91,13 @@ class RangePartition {
   std::vector<Key> boundaries_;
 };
 
-// Automatic split/merge policy (off by default). The rebalancer samples
-// every shard's queue depth each poll interval, smooths it with an EWMA
+// Automatic split policy (off by default). The rebalancer samples every
+// shard's queue depth each millisecond, smooths it with an EWMA
 // (ewma += 0.3 * (depth - ewma)), and splits the hottest shard when its
 // pressure crosses the threshold — the signal the paper's single-writer
 // bottleneck shows up as first.
 struct RebalanceConfig {
   bool enabled = false;
-  uint64_t poll_interval_ms = 5;
   // Split when a shard's smoothed queue depth exceeds this many requests;
   // 0 means 3/4 of ServiceConfig::queue_capacity.
   size_t split_queue_depth = 0;
@@ -106,19 +105,14 @@ struct RebalanceConfig {
   // be worth a migration).
   size_t min_split_keys = 4096;
   size_t max_shards = 64;
-  // Merge two adjacent shards when both are idle (pressure below 1/4 of
-  // the split threshold) and their combined key count fits; 0 disables
-  // merging.
-  size_t merge_max_keys = 0;
   // Minimum time between structural operations, so one hot burst cannot
   // shatter the partition before the first split's effect is measurable.
   uint64_t cooldown_ms = 50;
 };
 
-// One rebalancer decision: nothing, split shard `shard`, or merge the
-// pair (`shard`, `shard` + 1).
+// One rebalancer decision: nothing, or split shard `shard`.
 struct RebalanceAction {
-  enum class Kind : uint8_t { kNone, kSplit, kMerge };
+  enum class Kind : uint8_t { kNone, kSplit };
   Kind kind = Kind::kNone;
   size_t shard = 0;
 };
@@ -126,9 +120,7 @@ struct RebalanceAction {
 // The rebalancer's policy, a pure function of each shard's smoothed queue
 // depth and key count (parallel, in partition order): split the hottest
 // shard (the first, on a tie) once its depth reaches the threshold, unless
-// that would exceed max_shards or it owns fewer than min_split_keys keys;
-// otherwise merge the first adjacent pair that is idle (both depths below
-// a quarter of the threshold) and owns at most merge_max_keys keys.
+// that would exceed max_shards or it owns fewer than min_split_keys keys.
 RebalanceAction ChooseRebalanceAction(const std::vector<double>& depths,
                                       const std::vector<size_t>& keys,
                                       const RebalanceConfig& config,
@@ -143,8 +135,8 @@ struct ServiceConfig {
   // shard per queue entry.
   size_t max_batch = 64;
   // Worker threads per shard. Takes effect only for indexes that report
-  // SupportsConcurrentWrites() (ALEX, XIndex, OLC B-Tree); all others run
-  // single-writer regardless.
+  // SupportsConcurrentWrites() (ALEX, XIndex, OLC B-Tree, SkipList,
+  // Hash); all others run single-writer regardless.
   size_t writers_per_shard = 1;
   // Storage backend for every shard: "viper" (records on simulated PMem,
   // the default) or "disk" (records in paged files behind a buffer pool).
@@ -161,12 +153,12 @@ struct ServiceConfig {
   // Per-shard background retraining (off by default). Ignored when the
   // chosen index does not implement MaintenanceHook.
   MaintenanceConfig maintenance;
-  // Automatic live split/merge (off by default).
+  // Automatic live split (off by default).
   RebalanceConfig rebalance;
   // Per-shard primary->replica replication (off by default). When
   // enabled, each shard ships its commit log to a shadow replica store;
-  // see replication/replica_session.h for the knobs (ack mode, replica
-  // read policy, ship batch/interval, timeouts).
+  // see replication/replica_session.h for the knobs (ack mode, ship
+  // batch, ack timeout, transport delay).
   replication::ReplicationConfig replication;
 };
 

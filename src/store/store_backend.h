@@ -89,13 +89,6 @@ struct StoreIoStats {
   uint64_t readahead_pages = 0;
   uint64_t readahead_hits = 0;
   uint64_t readahead_wasted = 0;
-
-  double HitRate() const {
-    const uint64_t total = pool_hits + pool_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(pool_hits) /
-                            static_cast<double>(total);
-  }
 };
 
 class StoreBackend {

@@ -6,8 +6,8 @@ namespace pieces {
 
 ViperStore::ViperStore(std::unique_ptr<OrderedIndex> index,
                        const Config& config)
-    : RecordCore(std::move(index), config.value_size, config.slots_per_page,
-                 config.slots_per_page *
+    : RecordCore(std::move(index), config.value_size, kSlotsPerPage,
+                 kSlotsPerPage *
                      (sizeof(Key) + config.value_size + sizeof(RecordHeader))),
       config_(config),
       pmem_(config.pmem_capacity, config.read_latency_ns,
@@ -20,8 +20,8 @@ ViperStore::ViperStore(std::unique_ptr<OrderedIndex> index,
 
 bool ViperStore::ClaimRun(size_t max, SlotRun* run) {
   std::lock_guard<std::mutex> lock(pages_mutex_);
-  if (pages_.empty() || next_slot_ >= config_.slots_per_page) {
-    uint8_t* base = pmem_.Allocate(record_bytes() * config_.slots_per_page);
+  if (pages_.empty() || next_slot_ >= kSlotsPerPage) {
+    uint8_t* base = pmem_.Allocate(record_bytes() * kSlotsPerPage);
     if (base == nullptr) return false;
     pages_.push_back(base);
     next_slot_ = 0;
@@ -29,7 +29,7 @@ bool ViperStore::ClaimRun(size_t max, SlotRun* run) {
   run->page = static_cast<uint32_t>(pages_.size() - 1);
   run->first = next_slot_;
   run->count = static_cast<uint32_t>(
-      std::min<size_t>(max, config_.slots_per_page - next_slot_));
+      std::min<size_t>(max, kSlotsPerPage - next_slot_));
   run->bytes = SlotAddr(run->page, run->first);
   next_slot_ += run->count;
   return true;
@@ -60,13 +60,13 @@ size_t ViperStore::ReopenForRecovery() {
   // Never resume filling a possibly-torn tail page: the next claim after
   // recovery opens a fresh page (out-of-place stores never reclaim slots
   // anyway).
-  next_slot_ = static_cast<uint32_t>(config_.slots_per_page);
+  next_slot_ = static_cast<uint32_t>(kSlotsPerPage);
   return num_pages;
 }
 
 void ViperStore::ReadPage(uint32_t page, uint8_t* out) const {
   // Slot by slot, so recovery is charged one PMem access per slot.
-  for (uint32_t s = 0; s < config_.slots_per_page; ++s) {
+  for (uint32_t s = 0; s < kSlotsPerPage; ++s) {
     pmem_.Read(SlotAddr(page, s), out + s * record_bytes(), record_bytes());
   }
 }

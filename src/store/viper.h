@@ -28,9 +28,10 @@ namespace pieces {
 
 class ViperStore : public RecordCore {
  public:
+  static constexpr size_t kSlotsPerPage = 64;  // Viper's VPage granularity.
+
   struct Config {
-    size_t value_size = 200;     // The paper's 200-byte values.
-    size_t slots_per_page = 64;  // Viper's VPage granularity.
+    size_t value_size = 200;  // The paper's 200-byte values.
     size_t pmem_capacity = size_t{1} << 30;
     uint64_t read_latency_ns = 0;
     uint64_t write_latency_ns = 0;
@@ -84,7 +85,7 @@ class ViperStore : public RecordCore {
  private:
   // One page's allocation size (Allocate rounds to 8 bytes).
   size_t PageBytes() const {
-    return (record_bytes() * config_.slots_per_page + 7) & ~size_t{7};
+    return (record_bytes() * kSlotsPerPage + 7) & ~size_t{7};
   }
   uint8_t* SlotAddr(uint32_t page, uint32_t slot) const {
     return pages_[page] + slot * record_bytes();

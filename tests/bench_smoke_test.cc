@@ -1,8 +1,8 @@
 // Bench smoke suite (ctest label: bench_smoke): runs every registered
 // experiment at minimum scale and validates both the in-memory rows and
-// the emitted JSONL against the expected schema — experiment name, row
-// name, finite metrics, syntactically valid JSON — so a new experiment
-// cannot ship with broken emission.
+// the emitted JSONL and CSV against the expected schema — experiment name,
+// row name, finite metrics, syntactically valid JSON, one CSV record per
+// JSONL row — so a new experiment cannot ship with broken emission.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -107,6 +107,25 @@ class JsonChecker {
   size_t pos_ = 0;
 };
 
+// Splits CSV text into records: a newline ends a record unless it sits
+// inside a quoted field.
+std::vector<std::string> CsvRecords(const std::string& csv) {
+  std::vector<std::string> records;
+  std::string cur;
+  bool quoted = false;
+  for (char c : csv) {
+    if (c == '"') quoted = !quoted;
+    if (c == '\n' && !quoted) {
+      records.push_back(cur);
+      cur.clear();
+    } else {
+      cur += c;
+    }
+  }
+  if (!cur.empty()) records.push_back(cur);
+  return records;
+}
+
 class BenchSmokeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BenchSmokeTest, RunsAndEmitsValidRows) {
@@ -116,11 +135,13 @@ TEST_P(BenchSmokeTest, RunsAndEmitsValidRows) {
   EXPECT_FALSE(exp->title.empty());
   EXPECT_FALSE(exp->claim.empty());
 
-  std::ostringstream json;
+  std::ostringstream json, csv;
   ResultSink::Options opts;
   opts.table = false;
   opts.json = true;
   opts.json_out = &json;
+  opts.csv = true;
+  opts.csv_out = &csv;
   ResultSink sink(opts);
 
   Context ctx{sink};
@@ -171,6 +192,19 @@ TEST_P(BenchSmokeTest, RunsAndEmitsValidRows) {
     ++line_no;
   }
   EXPECT_EQ(row_lines, sink.rows().size());
+
+  // The CSV stream: a header naming the fixed columns, then one record
+  // per JSONL row, each led by the experiment name.
+  const std::vector<std::string> records = CsvRecords(csv.str());
+  ASSERT_FALSE(records.empty()) << exp->name << " emitted no CSV";
+  EXPECT_EQ(records[0].rfind("experiment,section,name,status", 0), 0u)
+      << exp->name << " CSV header: " << records[0];
+  EXPECT_EQ(records.size() - 1, row_lines)
+      << exp->name << " CSV data rows differ from JSONL rows";
+  for (size_t i = 1; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].rfind(exp->name + ",", 0), 0u)
+        << exp->name << " CSV record " << i << ": " << records[i];
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllExperiments, BenchSmokeTest,

@@ -1,6 +1,6 @@
 // Strict env-knob parsing: ParseU64Strict and GetEnvU64 must reject
 // trailing garbage, signs and overflow instead of silently truncating
-// (PIECES_SCALE=10x used to parse as 10).
+// ("10x" used to parse as 10).
 #include "common/config.h"
 
 #include <gtest/gtest.h>
@@ -65,13 +65,6 @@ TEST(GetEnvU64Test, GarbageFallsBackToDefault) {
   setenv("PIECES_TEST_KNOB", "-4", 1);
   EXPECT_EQ(GetEnvU64("PIECES_TEST_KNOB", 9), 9u);
   unsetenv("PIECES_TEST_KNOB");
-}
-
-TEST(GetEnvU64Test, ScaleKnobRejectsSuffix) {
-  setenv("PIECES_SCALE", "10x", 1);
-  EXPECT_EQ(BenchScale(), 1u);  // Falls back to the default, not 10.
-  unsetenv("PIECES_SCALE");
-  EXPECT_EQ(BenchScale(), 1u);
 }
 
 }  // namespace

@@ -364,8 +364,6 @@ TEST(MaintainerTest, PublishesOffThreadAndPreservesContents) {
 
   MaintenanceConfig cfg;
   cfg.enabled = true;
-  cfg.drift_threshold = 0.5;
-  cfg.poll_interval_us = 100;
   service::Maintainer maintainer(idx->maintenance(), cfg);
   maintainer.Start();
 
@@ -397,9 +395,7 @@ TEST(MaintainerTest, TokenBucketThrottles) {
 
   MaintenanceConfig cfg;
   cfg.enabled = true;
-  cfg.drift_threshold = 0.25;
   cfg.segments_per_sec = 1;  // Starved: one retrain/second.
-  cfg.poll_interval_us = 100;
   service::Maintainer maintainer(idx->maintenance(), cfg);
   maintainer.Start();
 
@@ -437,8 +433,6 @@ TEST(MaintenanceConcurrentTest, FitingTreeReadersNeverBlockDuringPublish) {
 
   MaintenanceConfig cfg;
   cfg.enabled = true;
-  cfg.drift_threshold = 0.4;
-  cfg.poll_interval_us = 50;
   service::Maintainer maintainer(idx.maintenance(), cfg);
   maintainer.Start();
 
@@ -496,8 +490,6 @@ TEST(MaintenanceConcurrentTest, XIndexWritersAndReadersDuringPublish) {
 
   MaintenanceConfig cfg;
   cfg.enabled = true;
-  cfg.drift_threshold = 0.4;
-  cfg.poll_interval_us = 50;
   service::Maintainer maintainer(idx.maintenance(), cfg);
   maintainer.Start();
 

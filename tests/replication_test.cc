@@ -136,18 +136,19 @@ TEST(ReplicationLogTest, AppendReadTruncate) {
 
 TEST(ReplicationLogTest, WaitTailAndClose) {
   ReplicationLog log;
-  // Nothing appended: the bounded wait times out false.
-  EXPECT_FALSE(log.WaitTail(0, 1000));
+  // An append on another thread wakes the waiter.
   std::thread writer([&] {
     std::vector<uint8_t> v = OpValue(1);
     log.OnCommit(MakeCommit(5, v));
   });
-  EXPECT_TRUE(log.WaitTail(0, 2'000'000));
+  EXPECT_TRUE(log.WaitTail(0));
   writer.join();
-  log.Close();
-  EXPECT_TRUE(log.closed());
-  // Closed log: waiters wake immediately, appends still record.
-  EXPECT_FALSE(log.WaitTail(1, 10'000'000));
+  // Close on another thread wakes a waiter no append satisfies.
+  std::thread closer([&] { log.Close(); });
+  EXPECT_FALSE(log.WaitTail(1));
+  closer.join();
+  // Closed log: waiters return at once, appends still record.
+  EXPECT_FALSE(log.WaitTail(1));
   std::vector<uint8_t> v = OpValue(2);
   log.OnCommit(MakeCommit(6, v));
   EXPECT_EQ(log.tail(), 2u);

@@ -163,9 +163,9 @@ TEST(ServiceSplitTest, MergeOverflowRebuildsBothShardsInPlace) {
   // Room for one shard's records (plus its overwrites), but not for the
   // union: a page holds slots_per_page records of key + value + header.
   const size_t page_bytes =
-      cfg.store.slots_per_page *
+      ViperStore::kSlotsPerPage *
       (sizeof(Key) + cfg.store.value_size + sizeof(RecordHeader));
-  const size_t shard_pages = keys.size() / 2 / cfg.store.slots_per_page;
+  const size_t shard_pages = keys.size() / 2 / ViperStore::kSlotsPerPage;
   cfg.store.pmem_capacity = page_bytes * (shard_pages * 3 / 2);
   KvService svc("BTree", cfg, keys);
   ASSERT_TRUE(svc.BulkLoad(keys));
@@ -236,7 +236,6 @@ TEST(ServiceRebalanceTest, RebalancerSplitsHotShardAutomatically) {
   std::vector<Key> keys = MakeUniformKeys(16384, 61);
   ServiceConfig cfg = SmallConfig(1, /*queue_capacity=*/256);
   cfg.rebalance.enabled = true;
-  cfg.rebalance.poll_interval_ms = 1;
   // Synchronous clients keep at most one request each in the pipeline, so
   // the sustained depth tops out near the client count: threshold below it.
   cfg.rebalance.split_queue_depth = 4;
@@ -285,29 +284,6 @@ TEST(ServiceRebalanceTest, RebalancerSplitsHotShardAutomatically) {
   }
 }
 
-TEST(ServiceRebalanceTest, RebalancerMergesColdShards) {
-  std::vector<Key> keys = MakeUniformKeys(2048, 67);
-  ServiceConfig cfg = SmallConfig(2);
-  cfg.rebalance.enabled = true;
-  cfg.rebalance.poll_interval_ms = 1;
-  cfg.rebalance.cooldown_ms = 1;
-  cfg.rebalance.merge_max_keys = 100000;  // everything is "cold enough"
-  KvService svc("BTree", cfg, keys);
-  ASSERT_TRUE(svc.BulkLoad(keys));
-  svc.Start();
-
-  const uint64_t deadline = NowNanos() + uint64_t{10} * 1000000000;
-  while (svc.Stats().merges == 0 && NowNanos() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(svc.Stats().merges, 1u);
-  EXPECT_EQ(svc.TotalKeys(), keys.size());
-  std::vector<uint8_t> buf(svc.value_size());
-  for (Key k : keys) {
-    ASSERT_EQ(svc.Get(k, buf.data()), RequestStatus::kOk) << k;
-  }
-}
-
 // The rebalancer's pure policy, table-tested: no threads, no sleeps.
 struct PolicyCase {
   const char* name;
@@ -320,12 +296,11 @@ struct PolicyCase {
 };
 
 RebalanceConfig Policy(size_t split_queue_depth, size_t min_split_keys,
-                       size_t max_shards, size_t merge_max_keys) {
+                       size_t max_shards) {
   RebalanceConfig c;
   c.split_queue_depth = split_queue_depth;
   c.min_split_keys = min_split_keys;
   c.max_shards = max_shards;
-  c.merge_max_keys = merge_max_keys;
   return c;
 }
 
@@ -333,35 +308,28 @@ TEST(RebalancePolicyTest, ChoosesByTable) {
   using Kind = RebalanceAction::Kind;
   const std::vector<PolicyCase> cases = {
       {"hottest above threshold splits", {2, 9, 12, 3},
-       {5000, 5000, 5000, 5000}, Policy(8, 4096, 64, 0), 1024, Kind::kSplit,
+       {5000, 5000, 5000, 5000}, Policy(8, 4096, 64), 1024, Kind::kSplit,
        2},
       {"first of tied hottest splits", {12, 12}, {5000, 5000},
-       Policy(8, 4096, 64, 0), 1024, Kind::kSplit, 0},
+       Policy(8, 4096, 64), 1024, Kind::kSplit, 0},
       {"threshold reached exactly splits", {8}, {5000},
-       Policy(8, 4096, 64, 0), 1024, Kind::kSplit, 0},
+       Policy(8, 4096, 64), 1024, Kind::kSplit, 0},
       {"below threshold does not split", {7.9}, {5000},
-       Policy(8, 4096, 64, 0), 1024, Kind::kNone, 0},
+       Policy(8, 4096, 64), 1024, Kind::kNone, 0},
       {"under min_split_keys does not split", {2, 12}, {5000, 4095},
-       Policy(8, 4096, 64, 0), 1024, Kind::kNone, 0},
+       Policy(8, 4096, 64), 1024, Kind::kNone, 0},
       {"nothing splits at max_shards", {12, 12}, {5000, 5000},
-       Policy(8, 4096, 2, 0), 1024, Kind::kNone, 0},
-      {"first cold pair within merge_max_keys merges", {0, 5, 0, 1, 0},
-       {100, 100, 300, 200, 50}, Policy(8, 4096, 64, 500), 1024, Kind::kMerge,
-       2},
-      {"pair over merge_max_keys does not merge", {0, 0}, {300, 201},
-       Policy(8, 4096, 64, 500), 1024, Kind::kNone, 0},
-      {"merge_max_keys = 0 disables merging", {0, 0}, {1, 1},
-       Policy(8, 4096, 64, 0), 1024, Kind::kNone, 0},
-      {"a single shard never merges", {0}, {1}, Policy(8, 4096, 64, 500), 1024,
+       Policy(8, 4096, 2), 1024, Kind::kNone, 0},
+      {"idle adjacent shards take no action", {0, 0}, {1, 1},
+       Policy(8, 4096, 64), 1024, Kind::kNone, 0},
+      {"a single shard never merges", {0}, {1}, Policy(8, 4096, 64), 1024,
        Kind::kNone, 0},
       {"split_queue_depth = 0 splits at 3/4 of capacity", {300}, {5000},
-       Policy(0, 4096, 64, 0), 400, Kind::kSplit, 0},
+       Policy(0, 4096, 64), 400, Kind::kSplit, 0},
       {"split_queue_depth = 0 holds below 3/4 of capacity", {299}, {5000},
-       Policy(0, 4096, 64, 0), 400, Kind::kNone, 0},
-      {"split_queue_depth = 0 idles below 3/16 of capacity", {74, 74},
-       {1, 1}, Policy(0, 4096, 64, 10), 400, Kind::kMerge, 0},
+       Policy(0, 4096, 64), 400, Kind::kNone, 0},
       {"split_queue_depth = 0 is busy at 3/16 of capacity", {75, 74},
-       {1, 1}, Policy(0, 4096, 64, 10), 400, Kind::kNone, 0},
+       {1, 1}, Policy(0, 4096, 64), 400, Kind::kNone, 0},
   };
   for (const PolicyCase& c : cases) {
     const RebalanceAction got =

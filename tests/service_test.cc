@@ -224,8 +224,6 @@ TEST(ServiceMaintenanceTest, BackgroundRetrainingKeepsServiceCorrect) {
   ServiceConfig cfg = SmallConfig(2);
   cfg.store.pmem_capacity = size_t{256} << 20;
   cfg.maintenance.enabled = true;
-  cfg.maintenance.drift_threshold = 0.25;
-  cfg.maintenance.poll_interval_us = 200;
   KvService svc("XIndex", cfg, keys);
   ASSERT_TRUE(svc.BulkLoad(keys));
   svc.Start();

@@ -30,7 +30,6 @@ namespace {
 TEST(StoreFaultTest, PutFailsCleanlyOnPmemExhaustion) {
   ViperStore::Config cfg;
   cfg.value_size = 200;
-  cfg.slots_per_page = 8;
   cfg.pmem_capacity = 64 << 10;  // Room for ~300 records.
   ViperStore store(MakeIndex("BTree"), cfg);
   ASSERT_TRUE(store.BulkLoad(MakeSequentialKeys(100, 1, 1)));
