@@ -8,8 +8,8 @@
 //     post-crash shape, not the pristine bulk-load image Fig. 16 times.
 //     The crash itself is a real power cut (unpersisted bytes dropped).
 //  2. Write-path durability cost: write-only throughput under the
-//     two-barrier commit protocol (payload persist + header persist per
-//     put), reporting persist barriers per op so the cost of crash
+//     one-barrier commit protocol (one persist over each put's whole
+//     record), reporting persist barriers per op so the cost of crash
 //     safety is visible next to the Mops number.
 //  3. Service-level outage: a sharded KvService crashes every shard's
 //     PMem and recovers in parallel; the row reports the slowest shard's
@@ -143,7 +143,7 @@ PIECES_REGISTER_EXPERIMENT(
     recovery, "recovery", "Fig. 16 (ext)",
     "Crash recovery: post-crash rebuild, durability cost, service outage",
     "Rebuild time is dominated by index build (BTree fast, ALEX/XIndex "
-    "slow); the two-barrier commit protocol prices crash safety into the "
+    "slow); the one-barrier commit protocol prices crash safety into the "
     "write path; a sharded service recovers on the slowest shard's clock",
     RunRecovery)
 

@@ -1,8 +1,7 @@
 // CRC32C (Castagnoli) — the per-record commit checksum the store layer
 // persists alongside each slot, mirroring Viper's (VLDB'21) per-record
-// commit metadata. Byte-wise table implementation: recovery scans are
-// dominated by index rebuild, not checksumming, so portability beats a
-// hardware SSE4.2 path here.
+// commit metadata. Reflected Castagnoli polynomial 0x82F63B78, checked
+// against the RFC 3720 (B.4) vectors; byte-wise table implementation.
 #ifndef PIECES_COMMON_CHECKSUM_H_
 #define PIECES_COMMON_CHECKSUM_H_
 
@@ -20,7 +19,7 @@ inline const std::array<uint32_t, 256>& Crc32cTable() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B38u : 0);
+        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
       }
       t[i] = crc;
     }

@@ -170,11 +170,6 @@ std::unique_ptr<StoreBackend> ReplicaSession::Promote(uint64_t* rebuild_ns) {
   return replica_.Promote(rebuild_ns);
 }
 
-bool ReplicaSession::dead() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dead_;
-}
-
 ReplicaSessionStats ReplicaSession::Stats() const {
   ReplicaSessionStats s;
   s.log_tail = log_->tail();

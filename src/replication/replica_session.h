@@ -125,7 +125,6 @@ class ReplicaSession {
   // first (WaitCaughtUp) for a planned, lossless switchover.
   std::unique_ptr<StoreBackend> Promote(uint64_t* rebuild_ns);
 
-  bool dead() const;
   ReplicaSessionStats Stats() const;
   const ReplicationConfig& config() const { return config_; }
   // Test access: fail-point/gate injection and replica inspection.

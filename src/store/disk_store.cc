@@ -54,8 +54,8 @@ bool DiskStore::ClaimRun(size_t max, SlotRun* run) {
   run->count = static_cast<uint32_t>(
       std::min<size_t>(max, slots_per_page() - next_slot_));
   next_slot_ += run->count;
-  // Never spin on the pool while holding write_mu_: a writer between
-  // its barriers needs the mutex back to unpin its frame.
+  // Never spin on the pool while holding write_mu_: a writer in its
+  // barrier needs the mutex back to unpin its frame.
   uint8_t* frame = fresh ? pool_.PinNew(run->page) : pool_.Pin(run->page);
   while (frame == nullptr) {
     write_mu_.unlock();
@@ -74,8 +74,7 @@ void DiskStore::WriteBytes(uint8_t* dst, const void* src, size_t n) {
   std::memcpy(dst, src, n);
 }
 
-void DiskStore::Barrier(std::span<const SlotRun> runs, size_t offset,
-                        size_t n) {
+void DiskStore::Barrier(std::span<const SlotRun> runs) {
   std::vector<PageStore::Extent> declared;
   uint32_t last = PageStore::kInvalidPage;
   for (const SlotRun& run : runs) {
@@ -83,9 +82,8 @@ void DiskStore::Barrier(std::span<const SlotRun> runs, size_t offset,
       pool_.WriteBack(run.page);
       last = run.page;
     }
-    for (uint32_t s = run.first; s < run.first + run.count; ++s) {
-      declared.push_back({run.page, SlotOffset(s) + offset, n});
-    }
+    declared.push_back(
+        {run.page, SlotOffset(run.first), run.count * record_bytes()});
   }
   // The caller's lock stays logically held: re-take write_mu_ on the way
   // out, also when the fsync throws SimulatedCrash.
@@ -180,16 +178,49 @@ bool DiskStore::Get(Key key, uint8_t* out) const {
   return true;
 }
 
+void DiskStore::CopyValues(std::span<const ValueRead> reads) const {
+  // Each block of reads prefetches its distinct pages in one engine
+  // batch (overlapped bursts, not page-by-page faults), and the current
+  // page stays pinned across a run of reads: one pool access per page.
+  constexpr size_t kBlock = 64;
+  uint32_t block_pages[kBlock];
+  const uint8_t* frame = nullptr;
+  uint32_t pinned = PageStore::kInvalidPage;
+  for (size_t base = 0; base < reads.size(); base += kBlock) {
+    const size_t m = std::min(kBlock, reads.size() - base);
+    size_t np = 0;
+    for (size_t i = 0; i < m; ++i) {
+      if (np == 0 || block_pages[np - 1] != reads[base + i].page) {
+        block_pages[np++] = reads[base + i].page;
+      }
+    }
+    if (np > 1) pool_.Prefetch(std::span<const uint32_t>(block_pages, np));
+    for (size_t i = 0; i < m; ++i) {
+      const ValueRead& r = reads[base + i];
+      if (r.page != pinned) {
+        if (pinned != PageStore::kInvalidPage) {
+          pool_.Unpin(pinned, /*dirty=*/false);
+        }
+        frame = PinWait(r.page);
+        pinned = r.page;
+      }
+      std::memcpy(r.out, frame + SlotOffset(r.slot) + sizeof(Key),
+                  config_.value_size);
+    }
+  }
+  if (pinned != PageStore::kInvalidPage) {
+    pool_.Unpin(pinned, /*dirty=*/false);
+  }
+}
+
 size_t DiskStore::GetBatch(std::span<const Key> keys, uint8_t* const* outs,
                            bool* found) const {
   CheckPowered();
   constexpr size_t kTile = 64;
   Value handles[kTile];
-  // (page, tile index) pairs, sorted by page so the batch charges one pool
-  // access per *distinct* page instead of one per key — consecutive keys
-  // cluster in pages after bulk load, so range-shaped batches amortize
-  // fetches across the whole run that lands in a page.
-  std::pair<uint32_t, uint32_t> order[kTile];
+  // A tile's hits, sorted by page: consecutive keys cluster in pages
+  // after bulk load, so a range-shaped batch pins each page once.
+  ValueRead reads[kTile];
   size_t hits = 0;
   for (size_t base = 0; base < keys.size(); base += kTile) {
     size_t m = std::min(kTile, keys.size() - base);
@@ -197,39 +228,13 @@ size_t DiskStore::GetBatch(std::span<const Key> keys, uint8_t* const* outs,
     size_t k = 0;
     for (size_t j = 0; j < m; ++j) {
       if (!found[base + j]) continue;
-      order[k++] = {HandlePage(handles[j]), static_cast<uint32_t>(j)};
+      reads[k++] = {HandlePage(handles[j]), HandleSlot(handles[j]),
+                    outs[base + j]};
     }
-    std::sort(order, order + k);
-    // Submit the tile's distinct pages as ONE engine batch: the pool
-    // fetches every missing page overlapped (best-effort) before the
-    // serve loop below pins them one at a time.
-    uint32_t tile_pages[kTile];
-    size_t np = 0;
-    for (size_t i = 0; i < k; ++i) {
-      if (np == 0 || tile_pages[np - 1] != order[i].first) {
-        tile_pages[np++] = order[i].first;
-      }
-    }
-    if (np > 1) pool_.Prefetch(std::span<const uint32_t>(tile_pages, np));
-    const uint8_t* frame = nullptr;
-    uint32_t pinned = PageStore::kInvalidPage;
-    for (size_t i = 0; i < k; ++i) {
-      const uint32_t page = order[i].first;
-      const uint32_t j = order[i].second;
-      if (page != pinned) {
-        if (pinned != PageStore::kInvalidPage) {
-          pool_.Unpin(pinned, /*dirty=*/false);
-        }
-        frame = PinWait(page);
-        pinned = page;
-      }
-      std::memcpy(outs[base + j],
-                  frame + SlotOffset(HandleSlot(handles[j])) + sizeof(Key),
-                  config_.value_size);
-    }
-    if (pinned != PageStore::kInvalidPage) {
-      pool_.Unpin(pinned, /*dirty=*/false);
-    }
+    std::sort(reads, reads + k, [](const ValueRead& a, const ValueRead& b) {
+      return a.page < b.page;
+    });
+    CopyValues({reads, k});
     hits += k;
   }
   return hits;
@@ -242,44 +247,15 @@ size_t DiskStore::Scan(Key from, size_t count,
   handles.reserve(count);
   size_t got = index_->Scan(from, count, &handles);
   // Handles arrive in key order, which is page order for bulk-loaded
-  // runs; keeping the current page pinned across consecutive records makes
-  // the scan cost one pool access per page, not per record. Each block of
-  // records prefetches its distinct pages in one engine batch so a cold
-  // scan streams overlapped bursts instead of faulting page by page.
-  constexpr size_t kScanBlock = 64;
+  // runs. Values are read (charged) but only keys are returned.
   std::vector<uint8_t> value(config_.value_size);
-  const uint8_t* frame = nullptr;
-  uint32_t pinned = PageStore::kInvalidPage;
-  std::vector<uint32_t> block_pages;
-  for (size_t base = 0; base < handles.size(); base += kScanBlock) {
-    const size_t m = std::min(kScanBlock, handles.size() - base);
-    block_pages.clear();
-    for (size_t i = 0; i < m; ++i) {
-      const uint32_t page = HandlePage(handles[base + i].value);
-      if (block_pages.empty() || block_pages.back() != page) {
-        block_pages.push_back(page);
-      }
-    }
-    if (block_pages.size() > 1) pool_.Prefetch(block_pages);
-    for (size_t i = 0; i < m; ++i) {
-      const KeyValue& kv = handles[base + i];
-      const uint32_t page = HandlePage(kv.value);
-      if (page != pinned) {
-        if (pinned != PageStore::kInvalidPage) {
-          pool_.Unpin(pinned, /*dirty=*/false);
-        }
-        frame = PinWait(page);
-        pinned = page;
-      }
-      std::memcpy(value.data(),
-                  frame + SlotOffset(HandleSlot(kv.value)) + sizeof(Key),
-                  config_.value_size);
-      out_keys->push_back(kv.key);
-    }
+  std::vector<ValueRead> reads;
+  reads.reserve(handles.size());
+  for (const KeyValue& kv : handles) {
+    reads.push_back({HandlePage(kv.value), HandleSlot(kv.value), value.data()});
   }
-  if (pinned != PageStore::kInvalidPage) {
-    pool_.Unpin(pinned, /*dirty=*/false);
-  }
+  CopyValues(reads);
+  for (const KeyValue& kv : handles) out_keys->push_back(kv.key);
   return got;
 }
 

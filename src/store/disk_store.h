@@ -11,20 +11,20 @@
 // record core's (store/record_core.h). This store supplies the medium:
 // slots in pinned buffer-pool frames, and as the barrier a write-back of
 // the run's distinct pages plus one fsync (PageStore::Sync) declaring
-// the runs' record bytes — two per put, one per page in bulk load.
-// Recovery reads pages straight off the file, bypassing the pool.
+// the runs' whole records — one per put, one per page in bulk load. A
+// torn fsync keeps a prefix or a suffix of those records; the header's
+// trailing magic and CRC reject either. Recovery reads pages straight
+// off the file, bypassing the pool.
 //
 // Batched reads group by page: GetBatch resolves handles through the
-// index's batch path, then sorts the hits by page id so a batch charges
-// one pool fetch per *distinct page*, not per key — consecutive keys
-// cluster in pages after bulk load, so range-shaped batches amortize
-// fetches the way the PR 4 batch path amortizes cache misses.
+// index's batch path and sorts the hits by page, so a batch charges one
+// pool fetch per *distinct page*, not per key; Scan shares the copy loop.
 //
 // Concurrency: any number of concurrent readers (each holds at most one
 // pin at a time); writers serialize on an internal mutex for slot claim
 // and frame mutation, but the fsync barriers themselves run outside it.
 // Put is the record core's Put under that mutex, so each writer commits
-// (and taps) its own record on its own thread, with two barriers per put
+// (and taps) its own record on its own thread, with one barrier per put
 // whatever the writer count.
 //
 // Reads route through the buffer pool's IoEngine (store/io_engine.h;
@@ -108,6 +108,10 @@ class DiskStore : public RecordCore {
   void ReadaheadSpan(Key key, uint32_t target, uint32_t* ra_lo,
                      uint32_t* ra_hi) const;
   void CheckPowered() const { pages_.fault().CheckPowered(); }
+  // Copies each read's value (slot `slot` of page `page`) into `out`, in
+  // order: the one page-grouped copy loop under GetBatch and Scan.
+  struct ValueRead { uint32_t page, slot; uint8_t* out; };
+  void CopyValues(std::span<const ValueRead> reads) const;
 
   // ---- RecordCore medium (every call with write_mu_ held) ----
   // Claims in the tail page and pins its frame; spins on a full pool
@@ -119,11 +123,10 @@ class DiskStore : public RecordCore {
   }
   void WriteBytes(uint8_t* dst, const void* src, size_t n) override;
   // Writes the runs' distinct pages back, then one fsync declaring the
-  // runs' record bytes, with write_mu_ released — other writers mutate
-  // the same frames under write_mu_, so the write-back never races
-  // their memcpy.
-  void Barrier(std::span<const SlotRun> runs, size_t offset,
-               size_t n) override;
+  // runs' records (one extent per run), with write_mu_ released — other
+  // writers mutate the same frames under write_mu_, so the write-back
+  // never races their memcpy.
+  void Barrier(std::span<const SlotRun> runs) override;
   size_t ReopenForRecovery() override;
   void ReadPage(uint32_t page, uint8_t* out) const override {
     pages_.ReadPage(page, out);

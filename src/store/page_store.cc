@@ -127,22 +127,23 @@ void PageStore::SyncLocked(std::span<const Extent> declared) {
   syncs_.fetch_add(1, std::memory_order_relaxed);
   size_t bytes = 0;
   for (const Extent& e : declared) bytes += e.length;
-  size_t survive;
+  FaultDevice::ByteRange survive;
   if (fault_.FailsBarrier(bytes, &survive)) {
-    // The armed barrier fails mid-flush: the surviving prefix of the
-    // declared bytes lands on the durable images, then every pending page
-    // rolls back to its image. A declared page with no pending write is
-    // durable already.
+    // The armed barrier fails mid-flush: the surviving range of the
+    // declared bytes (counted across the extents in order) lands on the
+    // durable images, then every pending page rolls back to its image. A
+    // declared page with no pending write is durable already.
+    size_t pos = 0;  // declared bytes before extent e
     for (const Extent& e : declared) {
-      if (survive == 0) break;
-      const size_t n = std::min(survive, e.length);
-      survive -= n;
+      const size_t lo = std::max(survive.begin, pos);
+      const size_t hi = std::min(survive.end, pos + e.length);
       auto it = shadow_.find(e.page);
-      if (it == shadow_.end()) continue;
-      const off_t off = static_cast<off_t>(e.page) *
-                            static_cast<off_t>(opts_.page_size) +
-                        static_cast<off_t>(e.offset);
-      PreadOrZero(fd_, off, it->second.data() + e.offset, n);
+      if (lo < hi && it != shadow_.end()) {
+        const size_t at = e.offset + (lo - pos);
+        PreadOrZero(fd_, static_cast<off_t>(e.page * opts_.page_size + at),
+                    it->second.data() + at, hi - lo);
+      }
+      pos += e.length;
     }
     RestorePendingLocked();
     throw SimulatedCrash{};

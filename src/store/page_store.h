@@ -8,12 +8,12 @@
 // unsynced bytes the way a power failure drops the OS page cache.
 //
 // A barrier declares the bytes it makes durable: Sync(extents) names
-// byte ranges (DiskStore passes the record bytes the record core
+// byte ranges (DiskStore passes the whole records the record core
 // barriers), a bare Sync() declares every pending page whole, in
-// first-write order. A torn barrier commits the surviving prefix of the
-// declared bytes onto the durable images; everything else pending rolls
-// back. What is not modelled is listed in fault_device.h (the file's
-// length survives a crash, like a PMem arena's extent).
+// first-write order. A torn barrier commits the surviving prefix or
+// suffix of the declared bytes onto the durable images; everything else
+// pending rolls back. What is not modelled is listed in fault_device.h
+// (the file's length survives a crash, like a PMem arena's extent).
 #ifndef PIECES_STORE_PAGE_STORE_H_
 #define PIECES_STORE_PAGE_STORE_H_
 
@@ -75,8 +75,8 @@ class PageStore {
 
   // Durability barrier (fdatasync): every write since the previous
   // barrier becomes durable. Counted; the armed barrier of fault() fails
-  // with a prefix of `declared` committed, and every barrier or write
-  // that queued behind it throws SimulatedCrash too.
+  // with a prefix or suffix of `declared` committed, and every barrier
+  // or write that queued behind it throws SimulatedCrash too.
   void Sync(std::span<const Extent> declared);
   // A barrier declaring every pending page whole, in first-write order.
   void Sync();

@@ -16,12 +16,20 @@ RecordCore::RecordCore(std::unique_ptr<OrderedIndex> index, size_t value_size,
       slots_per_page_(slots_per_page),
       page_bytes_(page_bytes) {}
 
-RecordHeader RecordCore::MakeHeader(const uint8_t* payload) {
+template <typename Fill>
+void RecordCore::WriteRecord(uint8_t* dst, Key key, Fill fill) {
+  // Composed in the writer thread's own scratch (grown once, reused), so
+  // a put allocates nothing and the medium sees one write per record.
+  thread_local std::vector<uint8_t> record;
+  if (record.size() < record_bytes()) record.resize(record_bytes());
+  std::memcpy(record.data(), &key, sizeof(Key));
+  fill(record.data() + sizeof(Key));
   RecordHeader header;
   header.seqno = next_seqno_.fetch_add(1, std::memory_order_relaxed);
-  header.crc = Crc32c(payload, PayloadBytes());
+  header.crc = Crc32c(record.data(), PayloadBytes());
   header.magic = kRecordCommitMagic;
-  return header;
+  std::memcpy(record.data() + PayloadBytes(), &header, sizeof(header));
+  WriteBytes(dst, record.data(), record_bytes());
 }
 
 bool RecordCore::BulkLoad(const std::vector<Key>& keys) {
@@ -34,7 +42,6 @@ bool RecordCore::BulkLoad(const std::vector<Key>& keys,
                           const std::function<void(Key, uint8_t*)>& fill) {
   std::vector<KeyValue> entries;
   entries.reserve(keys.size());
-  std::vector<uint8_t> record(record_bytes());
   // One barrier per page span instead of one per record, or one global
   // fence at the end (which would leave the whole load volatile until
   // the last record).
@@ -43,14 +50,11 @@ bool RecordCore::BulkLoad(const std::vector<Key>& keys,
     if (!ClaimRun(keys.size() - i, &run)) return false;
     for (uint32_t j = 0; j < run.count; ++j, ++i) {
       const Key key = keys[i];
-      std::memcpy(record.data(), &key, sizeof(Key));
-      fill(key, record.data() + sizeof(Key));
-      const RecordHeader header = MakeHeader(record.data());
-      std::memcpy(record.data() + PayloadBytes(), &header, sizeof(header));
-      WriteBytes(run.bytes + j * record.size(), record.data(), record.size());
+      WriteRecord(run.bytes + j * record_bytes(), key,
+                  [&](uint8_t* value) { fill(key, value); });
       entries.push_back({key, PackHandle(run.page, run.first + j)});
     }
-    Barrier({&run, 1}, 0, record.size());
+    Barrier({&run, 1});
     ReleaseRun(run);
   }
   index_->BulkLoad(entries);
@@ -61,17 +65,14 @@ bool RecordCore::BulkLoad(const std::vector<Key>& keys,
 bool RecordCore::Put(Key key, const uint8_t* value) {
   SlotRun slot;
   if (!ClaimRun(1, &slot)) return false;
-  std::vector<uint8_t> payload(PayloadBytes());
-  std::memcpy(payload.data(), &key, sizeof(Key));
-  std::memcpy(payload.data() + sizeof(Key), value, value_size_);
-  WriteBytes(slot.bytes, payload.data(), payload.size());
   // The seqno taken here fixes the record's commit order. A power cut at
-  // any barrier below propagates as SimulatedCrash with the slot still
-  // claimed: recovery reopens the medium anyway.
-  const RecordHeader header = MakeHeader(payload.data());
-  Barrier({&slot, 1}, 0, PayloadBytes());
-  WriteBytes(slot.bytes + PayloadBytes(), &header, sizeof(header));
-  Barrier({&slot, 1}, PayloadBytes(), sizeof(RecordHeader));
+  // the barrier propagates as SimulatedCrash with the slot still claimed
+  // (recovery reopens the medium anyway); whatever it tore of the record
+  // fails the magic or the CRC.
+  WriteRecord(slot.bytes, key, [&](uint8_t* dst) {
+    std::memcpy(dst, value, value_size_);
+  });
+  Barrier({&slot, 1});
   const bool swung = index_->Insert(key, PackHandle(slot.page, slot.first));
   if (swung) {
     size_.fetch_add(1, std::memory_order_relaxed);
@@ -84,7 +85,7 @@ bool RecordCore::Put(Key key, const uint8_t* value) {
     // longer resurrect the put.
     const RecordHeader zero;
     WriteBytes(slot.bytes + PayloadBytes(), &zero, sizeof(zero));
-    Barrier({&slot, 1}, PayloadBytes(), sizeof(RecordHeader));
+    Barrier({&slot, 1});
   }
   ReleaseRun(slot);
   return swung;
@@ -99,8 +100,9 @@ bool RecordCore::PutSynthetic(Key key) {
 uint64_t RecordCore::Recover() {
   Timer timer;
   // Nothing from the pre-crash DRAM state is trusted. Zeroed (never
-  // written or rolled back) slots fail the magic check, a torn header
-  // cannot complete the trailing magic, a torn payload fails the CRC.
+  // written or rolled back) slots fail the magic check, a record torn
+  // short of its tail cannot complete the trailing magic, and one whose
+  // header landed without all of its payload fails the CRC.
   const size_t num_pages = ReopenForRecovery();
   struct Recovered {
     Key key;

@@ -6,19 +6,20 @@
 //
 // Layout: a record is [key | value | RecordHeader] (record_format.h) in
 // a fixed-width slot, slots_per_page slots to a page; the index maps a
-// key to a packed (page << 16 | slot) handle.
+// key to a packed (page << 16 | slot) handle. One record writer lays out
+// key, value and header (next seqno, CRC32C over key+value, magic last)
+// for Put and BulkLoad alike, and every barrier covers whole records.
 //
-// Commit (Put): the payload is written and made durable by barrier 1,
-// then the header (next seqno, CRC32C over key+value, magic last) by
-// barrier 2; only then is the index swung, the commit tap told and the
-// caller acked — all on the writer's own thread, so a tap that tracks
-// per-thread positions (the replication log's watermark) sees exactly
-// the writes that thread is about to ack. A crash at either barrier
-// leaves the slot without a validating header, so recovery returns
-// exactly the acked puts (plus, at most, an in-flight put whose header
-// became durable). A failed swing zeroes the header under one more
-// barrier before the put reports failure, so recovery never resurrects
-// it.
+// Commit (Put): one barrier makes the whole record durable; only then is
+// the index swung, the commit tap told and the caller acked — all on the
+// writer's own thread, so a tap that tracks per-thread positions (the
+// replication log's watermark) sees exactly the writes that thread is
+// about to ack. A crash that tears the record leaves it failing the
+// magic (a prefix) or the CRC (a suffix: header without payload head),
+// so recovery returns exactly the acked puts (plus, at most, an
+// in-flight put whose whole record became durable). A failed swing
+// zeroes the header under one more barrier before the put reports
+// failure, so recovery never resurrects it.
 //
 // Bulk load: one barrier per page span of complete records.
 //
@@ -48,7 +49,7 @@ class RecordCore : public StoreBackend {
   // One barrier per page span; false when the medium fills up.
   bool BulkLoad(const std::vector<Key>& keys,
                 const std::function<void(Key, uint8_t*)>& fill) override;
-  // Two barriers (payload, then header), three if the swing fails; false
+  // One barrier over the whole record, two if the swing fails; false
   // when the medium is full or the index refuses the key.
   bool Put(Key key, const uint8_t* value) override;
   bool PutSynthetic(Key key) override;
@@ -102,11 +103,10 @@ class RecordCore : public StoreBackend {
   virtual void ReleaseRun(const SlotRun& /*run*/) {}
   // Writes `n` bytes at `dst`, an address inside a claimed slot.
   virtual void WriteBytes(uint8_t* dst, const void* src, size_t n) = 0;
-  // Makes bytes [offset, offset + n) of every slot of `runs` durable;
-  // these declared bytes, in run order, are what a torn barrier's
-  // tear_bytes count (store/fault_device.h).
-  virtual void Barrier(std::span<const SlotRun> runs, size_t offset,
-                       size_t n) = 0;
+  // Makes every record of `runs` durable; these whole records, in run
+  // order, are the declared bytes a torn barrier's tear_bytes count
+  // (store/fault_device.h).
+  virtual void Barrier(std::span<const SlotRun> runs) = 0;
   // Powers the medium back on for recovery and forgets volatile state
   // (the next claim opens a fresh page); returns the durable page count.
   virtual size_t ReopenForRecovery() = 0;
@@ -116,7 +116,10 @@ class RecordCore : public StoreBackend {
   std::unique_ptr<OrderedIndex> index_;
 
  private:
-  RecordHeader MakeHeader(const uint8_t* payload);
+  // The one record writer: `fill(value)` writes the value, and the whole
+  // record lands at `dst` in one WriteBytes.
+  template <typename Fill>
+  void WriteRecord(uint8_t* dst, Key key, Fill fill);
 
   const size_t value_size_;
   const size_t slots_per_page_;

@@ -1,11 +1,12 @@
 // On-media record layout shared by every storage backend. A record is
-// [key | value | RecordHeader]; the header (monotonic store-wide seqno +
-// CRC32C over key+value + trailing commit magic) is made durable *after*
-// the payload, so a record counts as committed only when its header
-// validates. The magic sits last so a torn header flush can never
-// validate: the durable prefix of a torn 16-byte header always ends
-// before the magic completes. The protocol that writes and validates
-// these headers lives once, in store/record_core.h.
+// [key | value | RecordHeader]: a monotonic store-wide seqno, a CRC32C
+// over key+value and a trailing commit magic. The whole record is made
+// durable by one barrier, and counts as committed only when its header
+// validates over its payload. A torn barrier that keeps a prefix of the
+// record never completes the magic, which sits last; one that keeps a
+// suffix lands the header without the payload head, and the CRC rejects
+// it. The protocol that writes and validates records lives once, in
+// store/record_core.h.
 #ifndef PIECES_STORE_RECORD_FORMAT_H_
 #define PIECES_STORE_RECORD_FORMAT_H_
 
@@ -16,7 +17,7 @@
 
 namespace pieces {
 
-// Per-record commit metadata, durable after the payload.
+// Per-record commit metadata, durable in the same barrier as the payload.
 struct RecordHeader {
   uint64_t seqno = 0;  // Monotonic, 0 = never committed.
   uint32_t crc = 0;    // CRC32C over the record's key+value bytes.

@@ -98,11 +98,12 @@ void SimulatedPmem::Persist(const uint8_t* pmem_addr, size_t bytes) {
   }
   if (offset >= capacity_) return;
   bytes = std::min(bytes, capacity_ - offset);
-  size_t survive;
+  FaultDevice::ByteRange survive;
   if (fault_.FailsBarrier(bytes, &survive)) {
-    // The armed barrier fails mid-flush: only the torn prefix (possibly
+    // The armed barrier fails mid-flush: only the torn range (possibly
     // empty) reaches the durable image, then power is lost.
-    std::memcpy(durable_ + offset, arena_ + offset, survive);
+    const size_t at = offset + survive.begin;
+    std::memcpy(durable_ + at, arena_ + at, survive.end - survive.begin);
     RestoreDurable();
     throw SimulatedCrash{};
   }

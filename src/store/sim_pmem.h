@@ -11,9 +11,10 @@
 // — or an armed crash point of fault() firing — rolls the arena back to
 // that image, dropping every written-but-unpersisted byte the way a
 // power failure drops the CPU caches and the in-flight WPQ entries of a
-// real PMem DIMM. A torn persist commits a prefix of its range (a real
-// 256-byte PMem write is failure-atomic only in 8-byte units). See
-// fault_device.h for what the simulation does and does not model.
+// real PMem DIMM. A torn persist commits a prefix or a suffix of its
+// range (a real 256-byte PMem write is failure-atomic only in 8-byte
+// units, in no promised order). See fault_device.h for what the
+// simulation does and does not model.
 #ifndef PIECES_STORE_SIM_PMEM_H_
 #define PIECES_STORE_SIM_PMEM_H_
 

@@ -43,9 +43,9 @@ struct CommitRecord {
 
 // Replication seam (src/replication/): a tap installed on a store sees
 // every committed put *before* the caller's acknowledgement, which is what
-// makes replication-synchronous acks possible downstream. Bulk loads are intentionally not tapped — a replica
-// is seeded from the quiesced bulk image instead of replaying O(n)
-// two-barrier puts.
+// makes replication-synchronous acks possible downstream. Bulk loads
+// are intentionally not tapped — a replica is seeded from the quiesced
+// bulk image instead of replaying O(n) one-barrier puts.
 class CommitTap {
  public:
   virtual ~CommitTap() = default;

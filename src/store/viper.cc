@@ -35,13 +35,11 @@ bool ViperStore::ClaimRun(size_t max, SlotRun* run) {
   return true;
 }
 
-void ViperStore::Barrier(std::span<const SlotRun> runs, size_t offset,
-                         size_t n) {
+void ViperStore::Barrier(std::span<const SlotRun> runs) {
   const SlotRun& last = runs.back();
-  const uint8_t* begin = runs.front().bytes + offset;
-  const uint8_t* end =
-      last.bytes + (last.count - 1) * record_bytes() + offset + n;
-  pmem_.Persist(begin, static_cast<size_t>(end - begin));
+  const uint8_t* end = last.bytes + last.count * record_bytes();
+  pmem_.Persist(runs.front().bytes,
+                static_cast<size_t>(end - runs.front().bytes));
 }
 
 size_t ViperStore::ReopenForRecovery() {

@@ -7,11 +7,12 @@
 //
 // The record layout, commit protocol, bulk load and recovery are the
 // record core's (store/record_core.h). This store supplies the medium:
-// slots in PMem pages, and a persist fence over the exact byte range as
-// the barrier — two persists per put (payload range, then the 16-byte
-// header range) and one per page span in bulk load. Recovery (Fig. 16)
-// re-derives the page directory from the allocator extent; its cost is
-// dominated by the index's build time, which is what the paper measures.
+// slots in PMem pages, and a persist fence over whole records as the
+// barrier — one persist per put (the record's key, value and header) and
+// one per page span in bulk load. A torn persist keeps a prefix or a
+// suffix of that range (store/fault_device.h); the header's trailing
+// magic and CRC reject either. Recovery (Fig. 16) re-derives the page
+// directory from the allocator extent, then validates and rebuilds.
 #ifndef PIECES_STORE_VIPER_H_
 #define PIECES_STORE_VIPER_H_
 
@@ -96,10 +97,10 @@ class ViperStore : public RecordCore {
   void WriteBytes(uint8_t* dst, const void* src, size_t n) override {
     pmem_.Write(dst, src, n);
   }
-  // Byte-addressable: one persist from the first run's range to the last
-  // run's. Runs here are one record, or one bulk-load span of a page.
-  void Barrier(std::span<const SlotRun> runs, size_t offset,
-               size_t n) override;
+  // Byte-addressable: one persist from the first run's first record to
+  // the last run's last. Runs here are one record, or one bulk-load span
+  // of a page.
+  void Barrier(std::span<const SlotRun> runs) override;
   size_t ReopenForRecovery() override;
   void ReadPage(uint32_t page, uint8_t* out) const override;
 

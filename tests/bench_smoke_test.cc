@@ -169,6 +169,22 @@ TEST_P(BenchSmokeTest, RunsAndEmitsValidRows) {
     }
   }
 
+  // Pinned durability costs: every put commits under exactly one
+  // barrier, so a change that adds one back fails here, not in a doc.
+  const std::string pinned = exp->name == "recovery"    ? "persists_per_op"
+                             : exp->name == "disk_tier" ? "barriers_per_put"
+                                                        : "";
+  size_t pinned_rows = 0;
+  for (const ResultSink::StoredRow& sr : sink.rows()) {
+    for (const auto& [key, value] : sr.row.metrics()) {
+      if (key != pinned) continue;
+      ++pinned_rows;
+      EXPECT_EQ(value, 1.0) << exp->name << " row " << sr.row.name() << " "
+                            << key;
+    }
+  }
+  if (!pinned.empty()) EXPECT_GT(pinned_rows, 0u) << exp->name;
+
   // The JSONL stream: one meta line + one line per row/note, all
   // syntactically valid JSON with the schema's required fields.
   std::istringstream in(json.str());

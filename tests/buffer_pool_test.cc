@@ -175,6 +175,34 @@ TEST(PageStoreTest, TornBarrierCommitsPagesInFirstWriteOrder) {
   EXPECT_EQ(probe[64], 0);  // the rest rolled back to zeros
 }
 
+// A tail tear keeps the last declared bytes, counted across the extents
+// in order: here all of page b's extent and the end of page a's. Every
+// other byte — a's extent head, and everything undeclared — rolls back.
+TEST(PageStoreTest, TailTearKeepsTheLastDeclaredBytes) {
+  PageStore store(TempPath("pstail"), SmallOpts());
+  ASSERT_TRUE(store.ok());
+  const uint32_t a = store.AllocatePage();
+  const uint32_t b = store.AllocatePage();
+  store.Sync();
+  std::vector<uint8_t> wa = Stamp(512, 0x31);
+  std::vector<uint8_t> wb = Stamp(512, 0x42);
+  store.WritePage(a, wa.data());
+  store.WritePage(b, wb.data());
+  const PageStore::Extent declared[] = {{a, 100, 50}, {b, 0, 80}};
+  store.fault().FailAfterBarriers(1, 100, FaultDevice::TearEnd::kTail);
+  EXPECT_THROW(store.Sync(declared), SimulatedCrash);
+  store.fault().ClearCrash();
+  std::vector<uint8_t> probe(512);
+  store.ReadPage(a, probe.data());
+  for (size_t i = 0; i < 512; ++i) {
+    EXPECT_EQ(probe[i], i >= 130 && i < 150 ? wa[i] : 0) << "a byte " << i;
+  }
+  store.ReadPage(b, probe.data());
+  for (size_t i = 0; i < 512; ++i) {
+    EXPECT_EQ(probe[i], i < 80 ? wb[i] : 0) << "b byte " << i;
+  }
+}
+
 // The writers of one DiskStore run their barriers concurrently. A barrier
 // already waiting for the device when another barrier cuts the power
 // must fail as well: returning normally would report its rolled-back

@@ -9,7 +9,6 @@
 // (persist fences) and once on DiskStore (fsyncs) with the same oracle:
 // both media cut power through one FaultDevice. Failures minimize to a
 // replayable op prefix, same as the differential suite.
-#include <cstdlib>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -24,11 +23,10 @@ namespace pieces {
 namespace {
 
 constexpr int64_t kNoTear = FaultDevice::kNoTear;
-
-uint64_t BaseSeed() {
-  const char* env = std::getenv("PIECES_DIFF_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 0x5eedull;
-}
+// The sweeps' record geometry: [key | 24-byte value | 16-byte header].
+constexpr size_t kValueSize = 24;
+constexpr int64_t kPayload = sizeof(Key) + kValueSize;
+constexpr int64_t kRecord = kPayload + sizeof(RecordHeader);
 
 // One sweep target: an index on a medium.
 struct SweepCase {
@@ -65,11 +63,12 @@ std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
 // total work is quadratic in the put count.
 DiffConfig SweepConfig(StoreMedium medium, uint64_t seed_offset) {
   DiffConfig cfg;
-  cfg.seed = BaseSeed() + seed_offset;
+  cfg.seed = DiffBaseSeed() + seed_offset;
   cfg.dataset = "ycsb";
   cfg.load_keys = 256;
   cfg.ops = 96;
   cfg.medium = medium;
+  cfg.store_value_size = kValueSize;
   return cfg;
 }
 
@@ -96,18 +95,39 @@ INSTANTIATE_TEST_SUITE_P(
     CaseName);
 
 // Dense torn-write sweep on two representative indexes (a traditional and
-// a learned one): tears below, at, and beyond the 16-byte commit header,
-// including the 8/15-byte prefixes that leave seqno+crc plausible but the
-// trailing magic incomplete.
+// a learned one). A put's one barrier declares its whole record,
+// [key | value | 16-byte header]; the tears move by the payload length so
+// they still land before the record's header (none of it, one byte),
+// at header offsets 0, 7, 8, 15 and 16 — the 8/15-byte prefixes leave
+// seqno+crc plausible but the trailing magic incomplete — and past the
+// record.
 class TornWriteSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(TornWriteSweepTest, DenseTearOffsets) {
   static_assert(sizeof(RecordHeader) == 16);
-  CrashSweepResult res =
-      RunCrashSweep(GetParam().index, SweepConfig(GetParam().medium, 1),
-                    {kNoTear, 1, 7, 8, 15, 16, 23});
+  const std::vector<int64_t> tears = {
+      kNoTear,      1,             kPayload,      kPayload + 7,
+      kPayload + 8, kPayload + 15, kPayload + 16, kPayload + 23};
+  CrashSweepResult res = RunCrashSweep(
+      GetParam().index, SweepConfig(GetParam().medium, 1), tears);
   EXPECT_TRUE(res.ok) << res.report;
-  EXPECT_EQ(res.runs, res.crash_points * 7);
+  EXPECT_EQ(res.runs, res.crash_points * tears.size());
+}
+
+// Tail tears: the record's last bytes land and its head does not — bytes
+// inside one barrier landing out of order. crc and magic without the
+// seqno (8) fail the seqno check; the header alone (16) and everything
+// but the key (kRecord - 8) pass magic and seqno, and only the CRC keeps
+// recovery from returning the put. A tail covering the whole record
+// makes the in-flight put durable.
+TEST_P(TornWriteSweepTest, TailTearOffsets) {
+  const std::vector<int64_t> tails = {8, 16, kRecord - 8, kRecord,
+                                      kRecord + 7};
+  CrashSweepResult res =
+      RunCrashSweep(GetParam().index, SweepConfig(GetParam().medium, 2),
+                    tails, FaultDevice::TearEnd::kTail);
+  EXPECT_TRUE(res.ok) << res.report;
+  EXPECT_EQ(res.runs, res.crash_points * tails.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Representative, TornWriteSweepTest,
@@ -131,7 +151,7 @@ TEST_P(BulkLoadCrashSweepTest, ExactDurablePrefix) {
   // several records.
   CrashSweepResult res = RunBulkLoadCrashSweep(
       GetParam().medium, GetParam().index, 256,
-      {kNoTear, 1, 47, 48, 49, 96, 500}, BaseSeed());
+      {kNoTear, 1, 47, 48, 49, 96, 500}, DiffBaseSeed());
   EXPECT_TRUE(res.ok) << res.report;
   // 256 keys at 64 slots/page (Viper) or 85 per 4 KiB page (disk) = 4
   // page-span barriers.
@@ -156,7 +176,7 @@ TEST(CrashBeforeRecoverTest, PeriodicPowerFailuresLoseNothing) {
     for (const std::string& name :
          {std::string("BTree"), std::string("ALEX")}) {
       DiffConfig cfg;
-      cfg.seed = BaseSeed() + 7;
+      cfg.seed = DiffBaseSeed() + 7;
       cfg.load_keys = 2000;
       cfg.ops = 4000;
       cfg.recover_every = 500;

@@ -334,20 +334,21 @@ std::optional<Failure> ExecuteStoreStream(StoreMedium medium,
 // crash, replay with live verification against the acknowledged-op
 // oracle, recover, and check the recovered store holds EXACTLY what the
 // durability contract promises. The armed crash can only fire inside a
-// Put (nothing else on the post-load path takes a barrier); which of the
-// put's two barriers fired is recovered from the barrier counter, making
-// the expected post-crash state fully deterministic:
-//   * payload barrier (delta 1): no header ever written — strict oracle;
-//   * header barrier, tear < sizeof(RecordHeader): the trailing magic never
-//     completes — strict oracle;
-//   * header barrier, tear covers the whole header: the in-flight put is
-//     durable despite never being acknowledged — oracle plus that put.
+// Put (nothing else on the post-load path takes a barrier), at the put's
+// one barrier over its whole record, making the expected post-crash
+// state fully deterministic:
+//   * tear short of the whole record: a prefix never completes the
+//     trailing magic, a suffix lands the header over a payload whose head
+//     is missing and fails the CRC — strict oracle;
+//   * tear covers the whole record: the in-flight put is durable despite
+//     never being acknowledged — oracle plus that put.
 std::optional<Failure> ExecuteCrashRun(StoreMedium medium,
                                        const std::string& index_name,
                                        const std::vector<Key>& load_keys,
                                        const std::vector<DiffOp>& ops,
                                        size_t value_size, uint64_t crash_at,
-                                       int64_t tear) {
+                                       int64_t tear,
+                                       FaultDevice::TearEnd end) {
   std::unique_ptr<RecordCore> owned =
       MakeHarnessStore(medium, index_name, value_size);
   RecordCore& store = *owned;
@@ -356,7 +357,7 @@ std::optional<Failure> ExecuteCrashRun(StoreMedium medium,
   if (!store.BulkLoad(load_keys)) {
     return Failure{0, "BulkLoad exhausted the medium"};
   }
-  store.fault().FailAfterBarriers(crash_at, tear);
+  store.fault().FailAfterBarriers(crash_at, tear, end);
 
   std::vector<uint8_t> buf(value_size);
   std::vector<uint8_t> want(value_size);
@@ -425,9 +426,10 @@ std::optional<Failure> ExecuteCrashRun(StoreMedium medium,
     if (i >= ops.size() || ops[i].kind != DiffOp::kPut) {
       return Failure{i, "crash fired outside a Put (no barrier expected)"};
     }
-    uint64_t delta = store.IoStats().barriers - put_barriers_before;
-    pending_durable =
-        delta == 2 && tear >= static_cast<int64_t>(sizeof(RecordHeader));
+    if (store.IoStats().barriers - put_barriers_before != 1) {
+      return Failure{i, "the crashing put crossed more than one barrier"};
+    }
+    pending_durable = tear >= static_cast<int64_t>(store.record_bytes());
   } else {
     // The (possibly minimized) stream crossed fewer than crash_at
     // barriers: power-fail at the quiescent end instead so the
@@ -708,7 +710,8 @@ DiffResult RunStoreDifferential(const std::string& index_name,
 
 CrashSweepResult RunCrashSweep(const std::string& index_name,
                                const DiffConfig& cfg,
-                               const std::vector<int64_t>& tear_offsets) {
+                               const std::vector<int64_t>& tear_offsets,
+                               FaultDevice::TearEnd end) {
   CrashSweepResult result;
   std::unique_ptr<OrderedIndex> probe = MakeIndex(index_name);
   if (probe == nullptr || !probe->SupportsInsert()) {
@@ -734,7 +737,7 @@ CrashSweepResult RunCrashSweep(const std::string& index_name,
   {
     std::optional<Failure> clean = ExecuteCrashRun(
         medium, index_name, load_keys, ops, effective.store_value_size, ~0ull,
-        FaultDevice::kNoTear);
+        FaultDevice::kNoTear, end);
     if (clean) {
       result.ok = false;
       result.report = BuildReport(name + " crash-sweep dry run", index_name,
@@ -776,7 +779,7 @@ CrashSweepResult RunCrashSweep(const std::string& index_name,
       ++result.runs;
       std::optional<Failure> failure =
           ExecuteCrashRun(medium, index_name, load_keys, ops,
-                          effective.store_value_size, n, tear);
+                          effective.store_value_size, n, tear, end);
       if (!failure) continue;
       std::vector<DiffOp> prefix(
           ops.begin(),
@@ -785,13 +788,14 @@ CrashSweepResult RunCrashSweep(const std::string& index_name,
       std::vector<DiffOp> minimized =
           MinimizeOps(prefix, [&](const std::vector<DiffOp>& candidate) {
             return ExecuteCrashRun(medium, index_name, load_keys, candidate,
-                                   effective.store_value_size, n, tear)
+                                   effective.store_value_size, n, tear, end)
                 .has_value();
           });
       result.ok = false;
       result.report = BuildReport(
-          name + " crash-sweep barrier=" + std::to_string(n) +
-              " tear=" + std::to_string(tear),
+          name + " crash-sweep barrier=" + std::to_string(n) + " tear=" +
+              (end == FaultDevice::TearEnd::kTail ? "tail:" : "") +
+              std::to_string(tear),
           index_name, effective, *failure, ops, minimized);
       return result;
     }

@@ -18,11 +18,20 @@
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "index/ordered_index.h"
 #include "store/record_core.h"
 #include "workload/ycsb.h"
 
 namespace pieces {
+
+// The base seed every differential and crash-sweep suite derives its
+// seeds from: PIECES_DIFF_SEED=<n> replays seed n. A malformed value
+// ("12x", "abc") warns once and keeps the default instead of replaying
+// some other seed.
+inline uint64_t DiffBaseSeed() {
+  return GetEnvU64("PIECES_DIFF_SEED", 0x5eed);
+}
 
 // The medium a store-level run builds its store on.
 enum class StoreMedium { kViper, kDisk };
@@ -122,16 +131,15 @@ struct CrashSweepResult {
 // updatable) once per (barrier n, tear offset) pair, arming a crash at
 // the n-th barrier after bulk-load — for every n the stream crosses —
 // with `tear_bytes` of the crashing barrier's declared bytes committed
-// (see FaultDevice::FailAfterBarriers; FaultDevice::kNoTear commits
-// nothing). After each crash the store recovers and must contain exactly
-// the acknowledged ops — plus the single in-flight put iff its commit
-// header deterministically became durable (the crash fired at the header
-// barrier and the tear covers the whole header). Empty `tear_offsets`
-// sweeps kNoTear only. Failures are delta-minimized like the
-// differential runs.
-CrashSweepResult RunCrashSweep(const std::string& index_name,
-                               const DiffConfig& cfg,
-                               const std::vector<int64_t>& tear_offsets);
+// from `end` (see FaultDevice::FailAfterBarriers; FaultDevice::kNoTear
+// commits nothing). After each crash the store recovers and must contain
+// exactly the acknowledged ops — plus the single in-flight put iff the
+// tear covers its whole record. Empty `tear_offsets` sweeps kNoTear
+// only. Failures are delta-minimized like the differential runs.
+CrashSweepResult RunCrashSweep(
+    const std::string& index_name, const DiffConfig& cfg,
+    const std::vector<int64_t>& tear_offsets,
+    FaultDevice::TearEnd end = FaultDevice::TearEnd::kHead);
 
 // Crash-point sweep over BulkLoad's per-page barriers on `medium`: loads
 // `load_keys` uniform keys, crashing at every barrier x tear offset, and

@@ -2,7 +2,6 @@
 // of every updatable index) against a std::map oracle through >= 100k
 // interleaved ops per index. A failure prints the seed, index name and a
 // delta-minimized op prefix; rerun one seed with PIECES_DIFF_SEED=<n>.
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -13,17 +12,12 @@
 namespace pieces {
 namespace {
 
-uint64_t BaseSeed() {
-  const char* env = std::getenv("PIECES_DIFF_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 0x5eedull;
-}
-
 class IndexDifferentialTest : public ::testing::TestWithParam<std::string> {};
 
 // Mixed zipfian stream over the YCSB-style uniform key space.
 TEST_P(IndexDifferentialTest, MixedZipfianYcsb) {
   DiffConfig cfg;
-  cfg.seed = BaseSeed();
+  cfg.seed = DiffBaseSeed();
   cfg.dataset = "ycsb";
   cfg.load_keys = 20000;
   cfg.ops = 40000;
@@ -35,7 +29,7 @@ TEST_P(IndexDifferentialTest, MixedZipfianYcsb) {
 // Adversarial keys: dense runs, near-UINT64_MAX tail, clustered gaps.
 TEST_P(IndexDifferentialTest, AdversarialKeys) {
   DiffConfig cfg;
-  cfg.seed = BaseSeed() + 1;
+  cfg.seed = DiffBaseSeed() + 1;
   cfg.dataset = "adversarial";
   cfg.load_keys = 15000;
   cfg.ops = 30000;
@@ -48,7 +42,7 @@ TEST_P(IndexDifferentialTest, AdversarialKeys) {
 // recovery (bulk re-load from a snapshot mid-stream, Fig. 16 semantics).
 TEST_P(IndexDifferentialTest, SequentialLatestWithRecovery) {
   DiffConfig cfg;
-  cfg.seed = BaseSeed() + 2;
+  cfg.seed = DiffBaseSeed() + 2;
   cfg.dataset = "sequential";
   cfg.load_keys = 15000;
   cfg.ops = 30000;
@@ -63,7 +57,7 @@ TEST_P(IndexDifferentialTest, SequentialLatestWithRecovery) {
 // Heavily skewed FACE-like key space, uniform request keys.
 TEST_P(IndexDifferentialTest, FaceUniform) {
   DiffConfig cfg;
-  cfg.seed = BaseSeed() + 3;
+  cfg.seed = DiffBaseSeed() + 3;
   cfg.dataset = "face";
   cfg.load_keys = 15000;
   cfg.ops = 20000;
@@ -78,7 +72,7 @@ TEST_P(IndexDifferentialTest, FaceUniform) {
 // to the newest value) run continuously rather than occasionally.
 TEST_P(IndexDifferentialTest, BufferSaturatingInsertHeavy) {
   DiffConfig cfg;
-  cfg.seed = BaseSeed() + 6;
+  cfg.seed = DiffBaseSeed() + 6;
   cfg.dataset = "sequential";
   cfg.load_keys = 15000;
   cfg.ops = 40000;
@@ -108,7 +102,7 @@ class StoreDifferentialTest : public ::testing::TestWithParam<std::string> {};
 // read, ViperStore::Recover exercised mid-stream.
 TEST_P(StoreDifferentialTest, MixedStreamWithRecovery) {
   DiffConfig cfg;
-  cfg.seed = BaseSeed() + 4;
+  cfg.seed = DiffBaseSeed() + 4;
   cfg.dataset = "ycsb";
   cfg.load_keys = 8000;
   cfg.ops = 15000;
@@ -120,7 +114,7 @@ TEST_P(StoreDifferentialTest, MixedStreamWithRecovery) {
 
 TEST_P(StoreDifferentialTest, AdversarialKeys) {
   DiffConfig cfg;
-  cfg.seed = BaseSeed() + 5;
+  cfg.seed = DiffBaseSeed() + 5;
   cfg.dataset = "adversarial";
   cfg.load_keys = 6000;
   cfg.ops = 10000;

@@ -311,7 +311,7 @@ TEST(DiskStoreConcurrencyTest, ConcurrentGetsDuringPuts) {
   std::vector<Key> keys = MakeUniformKeys(4000, 17);
   std::vector<Key> load, inserts;
   SplitLoadAndInserts(keys, 4, &load, &inserts);
-  inserts.resize(200);  // 2 fsync barriers per put bound the test's time
+  inserts.resize(200);  // 1 fsync barrier per put bounds the test's time
   ASSERT_TRUE(store.BulkLoad(load));
   std::atomic<bool> stop{false};
   std::atomic<size_t> torn{0};
@@ -380,7 +380,7 @@ void SweepConcurrentWriters(
   constexpr size_t kThreads = 4;
   constexpr size_t kPutsPerThread = 8;
   ASSERT_GE(inserts.size(), kThreads * kPutsPerThread);
-  // 32 puts at two barriers each: 64 barriers are crossed however the
+  // 32 puts at one barrier each: 32 barriers are crossed however the
   // writers interleave, so barriers 1..16 always fire.
   constexpr uint64_t kBarriers = 16;
   const std::vector<int64_t> tears = {FaultDevice::kNoTear, 0, 8, 100,
@@ -516,8 +516,8 @@ TEST(DiskStoreConcurrencyTest, EachPutIsTappedOnItsOwnThread) {
 
 // Regression for the shrunk writer critical section: a reader pinning an
 // already-resident page must never park behind a writer's fsync barrier.
-// With a 20ms injected sync delay a single put spends >= 40ms in
-// barriers; the reader must stream hundreds of gets through that window
+// With a 20ms injected sync delay a single put spends >= 20ms in its
+// barrier; the reader must stream hundreds of gets through that window
 // (the pre-fix pool held its mutex across the sync, freezing readers).
 TEST(DiskStoreConcurrencyTest, ResidentReadsDoNotWaitOnSyncBarriers) {
   DiskStore store(MakeIndex("BTree"), SmallConfig("slowsync"));
@@ -538,7 +538,7 @@ TEST(DiskStoreConcurrencyTest, ResidentReadsDoNotWaitOnSyncBarriers) {
     }
   });
   // Let the reader spin up, then measure its progress across one put
-  // (two 20ms barriers).
+  // (one 20ms barrier).
   while (reads.load() == 0) std::this_thread::yield();
   const uint64_t before = reads.load();
   ASSERT_TRUE(store.PutSynthetic(inserts[0]));
@@ -546,7 +546,7 @@ TEST(DiskStoreConcurrencyTest, ResidentReadsDoNotWaitOnSyncBarriers) {
   stop.store(true);
   reader.join();
   store.mutable_pages().SetSyncDelayForTest(0);
-  // >= 40ms of barrier time vs microsecond resident gets: demand real
+  // >= 20ms of barrier time vs microsecond resident gets: demand real
   // streaming, with a wide margin against scheduler noise.
   EXPECT_GE(during, 10u) << "reader stalled behind the writer's fsync";
 }

@@ -270,6 +270,7 @@ TEST_P(FaultDeviceCrashTest, SemanticsTable) {
     bool quiescent_crash;  // a Crash() + ClearCrash() after arming
     int fires_at;          // the round whose barrier fails; 0 = none
     size_t survive;        // bytes of that round's image that survive
+    FaultDevice::TearEnd end = FaultDevice::TearEnd::kHead;
   };
   const Row rows[] = {
       {"fires at exactly the nth barrier", {3}, kNoTear, false, 3, 0},
@@ -281,6 +282,12 @@ TEST_P(FaultDeviceCrashTest, SemanticsTable) {
       {"a tear commits exactly its prefix", {1}, 100, false, 1, 100},
       {"a tear past the barrier commits all of it", {2}, 4 * kRegion, false,
        2, kRegion},
+      {"a tail tear commits exactly its suffix", {1}, 100, false, 1, 100,
+       FaultDevice::TearEnd::kTail},
+      {"a zero tail tear commits nothing", {2}, 0, false, 2, 0,
+       FaultDevice::TearEnd::kTail},
+      {"a tail tear past the barrier commits all of it", {1}, 4 * kRegion,
+       false, 1, kRegion, FaultDevice::TearEnd::kTail},
   };
   auto image = [](uint8_t tag) {
     std::vector<uint8_t> bytes(kRegion);
@@ -301,7 +308,7 @@ TEST_P(FaultDeviceCrashTest, SemanticsTable) {
     std::vector<uint8_t> durable = image(0x10);
     medium->Write(durable);
     medium->Barrier();
-    for (uint64_t n : row.arms) fault.FailAfterBarriers(n, row.tear);
+    for (uint64_t n : row.arms) fault.FailAfterBarriers(n, row.tear, row.end);
     uint64_t crashes = 0;
     if (row.quiescent_crash) {
       medium->Write(image(0xee));  // never barriered: rolls back
@@ -333,7 +340,12 @@ TEST_P(FaultDeviceCrashTest, SemanticsTable) {
     EXPECT_THROW(medium->Read(), SimulatedCrash);  // power is off
     fault.ClearCrash();
     std::vector<uint8_t> want = durable;
-    std::copy(last.begin(), last.begin() + row.survive, want.begin());
+    if (row.end == FaultDevice::TearEnd::kTail) {
+      std::copy(last.end() - row.survive, last.end(),
+                want.end() - row.survive);
+    } else {
+      std::copy(last.begin(), last.begin() + row.survive, want.begin());
+    }
     EXPECT_EQ(medium->Read(), want);
   }
 }
@@ -369,7 +381,8 @@ class StoreCommitFaultTest : public ::testing::TestWithParam<std::string> {
     return *disk_;
   }
 
-  // A put's payload barrier declares exactly its key and value bytes.
+  // A put's one barrier declares its whole record: key and value bytes,
+  // then the header.
   static constexpr int64_t kPayloadBytes = sizeof(Key) + kValueSize;
 
   // Flips the first value byte of the record at `handle` durably on the
@@ -403,13 +416,13 @@ class StoreCommitFaultTest : public ::testing::TestWithParam<std::string> {
   std::unique_ptr<DiskStore> disk_;
 };
 
-// Crash between the payload barrier and the header barrier: the put was
+// Crash at the put's record barrier with nothing landed: the put was
 // never acknowledged, so recovery must not resurrect it.
 TEST_P(StoreCommitFaultTest, PutNotAcknowledgedIsNotRecovered) {
   RecordCore& store = MakeStore("BTree");
   std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
   ASSERT_TRUE(store.BulkLoad(keys));
-  store.fault().FailAfterBarriers(1);  // payload barrier
+  store.fault().FailAfterBarriers(1);  // the record barrier
   EXPECT_THROW(store.PutSynthetic(5000), SimulatedCrash);
   store.Recover();
   EXPECT_EQ(store.size(), keys.size());
@@ -431,6 +444,38 @@ TEST_P(StoreCommitFaultTest, TornPayloadWithoutHeaderIsNotRecovered) {
   EXPECT_FALSE(store.Get(5000, buf.data()));
 }
 
+// The mirror image, bytes inside the barrier landing out of order: a
+// tail tear lands the header (and, for the longer tail, all but the
+// key's low byte) while the payload head stays zero. The header alone
+// validates — magic, seqno — so only the CRC keeps recovery from
+// returning a record, under key 5000 or under whatever key the torn
+// head now spells.
+TEST_P(StoreCommitFaultTest, TailTornRecordFailsCrcAndIsNotRecovered) {
+  RecordCore& store = MakeStore("BTree");
+  std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
+  ASSERT_TRUE(store.BulkLoad(keys));
+  const int64_t record = static_cast<int64_t>(store.record_bytes());
+  for (int64_t tail : {int64_t{sizeof(RecordHeader)}, record - 1}) {
+    SCOPED_TRACE("tail=" + std::to_string(tail));
+    store.fault().FailAfterBarriers(1, tail, FaultDevice::TearEnd::kTail);
+    EXPECT_THROW(store.PutSynthetic(5000), SimulatedCrash);
+    store.Recover();
+    EXPECT_EQ(store.size(), keys.size());
+    std::vector<uint8_t> buf(kValueSize);
+    EXPECT_FALSE(store.Get(5000, buf.data()));
+    for (Key k : keys) EXPECT_TRUE(store.Get(k, buf.data())) << k;
+  }
+}
+
+// One barrier per put (two when the swing fails), on either medium.
+TEST_P(StoreCommitFaultTest, PutTakesOneBarrier) {
+  RecordCore& store = MakeStore("BTree");
+  ASSERT_TRUE(store.BulkLoad(MakeSequentialKeys(100, 1, 1)));
+  const uint64_t before = store.IoStats().barriers;
+  ASSERT_TRUE(store.PutSynthetic(5000));
+  EXPECT_EQ(store.IoStats().barriers - before, 1u);
+}
+
 // Regression for the pre-commit-protocol bug: Put used to leave the
 // record durable when the index swing failed, so recovery resurrected a
 // put whose caller was told it failed. A read-only index rejects every
@@ -439,7 +484,9 @@ TEST_P(StoreCommitFaultTest, FailedIndexSwingDoesNotResurrect) {
   RecordCore& store = MakeStore("RMI");
   std::vector<Key> keys = MakeSequentialKeys(100, 1, 1);
   ASSERT_TRUE(store.BulkLoad(keys));
+  const uint64_t before = store.IoStats().barriers;
   EXPECT_FALSE(store.PutSynthetic(5000));  // swing fails, header revoked
+  EXPECT_EQ(store.IoStats().barriers - before, 2u);
   store.Crash();
   store.Recover();
   EXPECT_EQ(store.size(), keys.size());
